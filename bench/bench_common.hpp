@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "iostat/events.hpp"
 #include "iostat/iostat.hpp"
 #include "iostat/report.hpp"
 #include "iostat/schemas.hpp"
@@ -147,7 +148,10 @@ inline double MBps(std::uint64_t bytes, double ns) {
 class JsonObj {
  public:
   JsonObj& Str(const char* key, const std::string& v) {
-    return Raw(key, "\"" + pnc::json::Escape(v) + "\"");
+    std::string quoted = "\"";
+    pnc::json::AppendEscaped(quoted, v);
+    quoted += '"';
+    return Raw(key, quoted);
   }
   JsonObj& Int(const char* key, std::uint64_t v) {
     return Raw(key, std::to_string(v));
@@ -186,10 +190,11 @@ class JsonObj {
 /// nonzero exit by bench::RunBench, so a suite run cannot "succeed" while
 /// silently dropping its output.
 ///
-/// With --trace=PATH (any bench; also honored in ncbench suite mode) span
-/// recording is switched on and EndConfig rewrites PATH with a Chrome
+/// With --trace=PATH (any bench; also honored in ncbench suite mode) the
+/// flight recorder is kept on and EndConfig rewrites PATH with a Chrome
 /// trace-event timeline of the configuration that just finished, so the file
-/// holds the most recent configuration of the run.
+/// holds the most recent configuration of the run. The timeline covers the
+/// ring's retained tail: PNC_FLIGHT_EVENTS events per rank (default 4096).
 class Recorder {
  public:
   Recorder(const Args& args, const char* bench_name)
@@ -207,11 +212,12 @@ class Recorder {
   [[nodiscard]] bool io_failed() const { return io_failed_; }
   [[nodiscard]] const std::string& path() const { return path_; }
 
-  /// Start a configuration: zero every counter and drop accumulated spans
-  /// and events so the emitted report/trace covers only this run.
+  /// Start a configuration: zero every counter and drop accumulated events
+  /// so the emitted report/trace covers only this run. The trace is drawn
+  /// from the flight ring, so tracing keeps it on.
   void BeginConfig() const {
     if (enabled() || tracing()) iostat::Registry::Get().Reset();
-    if (tracing()) iostat::Registry::Get().SetSpansEnabled(true);
+    if (tracing()) iostat::FlightRecorder::Get().SetEnabled(true);
   }
 
   /// Finish a configuration: append its record line and rewrite the trace.

@@ -108,11 +108,12 @@ void BM_IostatCounterAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_IostatCounterAdd)->Arg(0)->Arg(1);
 
-// The flight-recorder hot path: Arg(0) measures PNC_IOSTAT_EVENT with the
-// recorder disabled at runtime (one relaxed load and a branch), Arg(1) with
-// it enabled (one fetch_add claiming a ring slot plus a fixed-size record
-// fill — the "~10 ns/event" always-on budget). With PNC_IOSTAT=OFF at
-// configure time both compile to nothing.
+// The flight-recorder hot path: Arg(0) measures a flight-only probe
+// (PNC_PROBE(kIoBegin)) with the recorder disabled at runtime (one relaxed
+// load of the sink mask and a branch), Arg(1) with it enabled (one
+// fetch_add claiming a ring slot plus a fixed-size record fill — the
+// "~10 ns/event" always-on budget). With PNC_IOSTAT=OFF at configure time
+// both compile to nothing.
 void BM_FlightRecorderEvent(benchmark::State& state) {
 #if PNC_IOSTAT_ENABLED
   PNC_IOSTAT_BIND_RANK(0);
@@ -120,7 +121,7 @@ void BM_FlightRecorderEvent(benchmark::State& state) {
 #endif
   double t = 0.0;
   for (auto _ : state) {
-    PNC_IOSTAT_EVENT(kIoBegin, t, 0.0, 64, 1, nullptr);
+    PNC_PROBE(kIoBegin, .t_begin = t, .aux = 64);
     t += 1.0;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -131,12 +132,35 @@ void BM_FlightRecorderEvent(benchmark::State& state) {
 }
 BENCHMARK(BM_FlightRecorderEvent)->Arg(0)->Arg(1);
 
+// A multi-sink probe site (kXchgSend: counter, ring event, timeline mark):
+// Arg(0) with every sink off — one relaxed load of the sink mask and a
+// branch, no call — and Arg(1) with the default sinks (counters, ring and
+// pattern on, timeline off), i.e. one Emit folding one record into two sinks.
+void BM_ProbeSite(benchmark::State& state) {
+#if PNC_IOSTAT_ENABLED
+  PNC_IOSTAT_BIND_RANK(0);
+  const std::uint32_t saved = iostat::g_sinks.load();
+  if (state.range(0) == 0) iostat::g_sinks.store(0);
+#endif
+  double t = 0.0;
+  for (auto _ : state) {
+    PNC_PROBE(kXchgSend, .server = 1, .t_begin = t, .aux = 0);
+    t += 1.0;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+#if PNC_IOSTAT_ENABLED
+  iostat::g_sinks.store(saved);
+  iostat::Registry::Get().Reset();
+#endif
+}
+BENCHMARK(BM_ProbeSite)->Arg(0)->Arg(1);
+
 int Run(const bench::Args& args, bench::Recorder& rec) {
   return bench::RunMicro(
       args, rec,
       "BM_SubarrayConstruct|BM_HindexedConstruct|BM_PackSubarray|"
       "BM_UnpackSubarray|BM_ContiguousPackIsMemcpySpeed|BM_IostatCounterAdd|"
-      "BM_FlightRecorderEvent");
+      "BM_FlightRecorderEvent|BM_ProbeSite");
 }
 
 const bench::BenchDef kBench{

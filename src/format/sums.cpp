@@ -4,7 +4,6 @@
 #include <array>
 #include <cstring>
 
-#include "iostat/events.hpp"
 #include "iostat/iostat.hpp"
 #include "util/crc32.hpp"
 #include "util/env.hpp"
@@ -284,9 +283,8 @@ pnc::Status VerifyReadRange(const ChunkSumMap& map, std::uint64_t offset,
       healed = true;
     }
     if (!healed) {
-      PNC_IOSTAT_EVENT(kDataCorrupt, t_ns, 0, /*a0=*/c,
-                       /*a1=*/static_cast<std::uint64_t>(heal_attempts),
-                       nullptr);
+      PNC_PROBE(kDataCorrupt, .offset = c, .t_begin = t_ns,
+                .aux = static_cast<std::uint64_t>(heal_attempts));
       return pnc::Status(pnc::Err::kDataCorrupt,
                          "chunk " + std::to_string(c) +
                              " checksum mismatch persisted across " +

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 #include "iostat/json_cursor.hpp"
 #include "iostat/schemas.hpp"
+#include "iostat/text.hpp"
 #include "util/json.hpp"
 
 namespace iostat {
@@ -27,13 +27,6 @@ thread_local ReqCtx tl_req;
 /// fresh rank threads).
 std::atomic<std::uint64_t> g_next_req[kMaxRanks];
 
-bool EnvFlag(const char* name, bool def) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return def;
-  return !(std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
-           std::strcmp(v, "false") == 0);
-}
-
 void CopyDetail(char (&dst)[24], const char* src) {
   if (src == nullptr) {
     dst[0] = '\0';
@@ -42,18 +35,6 @@ void CopyDetail(char (&dst)[24], const char* src) {
   std::size_t i = 0;
   for (; i + 1 < sizeof(dst) && src[i] != '\0'; ++i) dst[i] = src[i];
   dst[i] = '\0';
-}
-
-void AppendF(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void AppendF(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out.append(buf, static_cast<std::size_t>(n));
 }
 
 }  // namespace
@@ -104,8 +85,6 @@ FlightRecorder::FlightRecorder() {
                                   std::size_t{1} << 20);
   }
   cap_ = cap;
-  on_.store(EnvFlag("PNC_IOSTAT", true) && EnvFlag("PNC_FLIGHT", true),
-            std::memory_order_relaxed);
 }
 
 FlightRecorder& FlightRecorder::Get() {
@@ -323,100 +302,67 @@ pnc::Result<EventDump> ParseEventsJson(std::string_view text) {
     return fail("schema marker not found");
 
   EventDump dump;
-  if (!cur.Eat('{')) return fail("expected object");
-  if (cur.Eat('}')) return dump;
-  do {
-    std::string key;
-    if (!cur.ParseString(&key) || !cur.Eat(':')) return fail("bad member");
-    if (key == "reason") {
-      if (!cur.ParseString(&dump.reason)) return fail("bad reason");
-    } else if (key == "capacity") {
-      double v = 0;
-      if (!cur.ParseNumber(&v)) return fail("bad capacity");
-      dump.capacity = static_cast<std::size_t>(v);
-    } else if (key == "ranks") {
-      if (!cur.Eat('[')) return fail("bad ranks");
-      if (!cur.Eat(']')) {
-        do {
-          EventDump::RankTail tail;
-          if (!cur.Eat('{')) return fail("bad rank object");
-          if (!cur.Eat('}')) {
-            do {
-              std::string k2;
-              if (!cur.ParseString(&k2) || !cur.Eat(':'))
-                return fail("bad rank member");
-              if (k2 == "rank") {
-                double v = 0;
-                if (!cur.ParseNumber(&v)) return fail("bad rank");
-                tail.rank = static_cast<int>(v);
-              } else if (k2 == "recorded") {
-                double v = 0;
-                if (!cur.ParseNumber(&v)) return fail("bad recorded");
-                tail.recorded = static_cast<std::uint64_t>(v);
-              } else if (k2 == "dropped") {
-                double v = 0;
-                if (!cur.ParseNumber(&v)) return fail("bad dropped");
-                tail.dropped = static_cast<std::uint64_t>(v);
-              } else if (k2 == "events") {
-                if (!cur.Eat('[')) return fail("bad events");
-                if (!cur.Eat(']')) {
-                  do {
-                    Event e;
-                    if (!cur.Eat('{')) return fail("bad event object");
-                    if (!cur.Eat('}')) {
-                      do {
-                        std::string k3;
-                        if (!cur.ParseString(&k3) || !cur.Eat(':'))
-                          return fail("bad event member");
-                        if (k3 == "kind") {
-                          std::string name;
-                          if (!cur.ParseString(&name))
-                            return fail("bad kind");
-                          if (!EvFromName(name, &e.kind))
-                            return fail("unknown event kind");
-                        } else if (k3 == "detail") {
-                          std::string d;
-                          if (!cur.ParseString(&d)) return fail("bad detail");
-                          CopyDetail(e.detail, d.c_str());
-                        } else {
-                          double v = 0;
-                          if (!cur.ParseNumber(&v)) return fail("bad value");
-                          if (k3 == "seq")
-                            e.seq = static_cast<std::uint64_t>(v);
-                          else if (k3 == "t_ns")
-                            e.t_ns = v;
-                          else if (k3 == "d_ns")
-                            e.d_ns = v;
-                          else if (k3 == "req")
-                            e.req = static_cast<std::uint64_t>(v);
-                          else if (k3 == "a0")
-                            e.a0 = static_cast<std::uint64_t>(v);
-                          else if (k3 == "a1")
-                            e.a1 = static_cast<std::uint64_t>(v);
-                        }
-                      } while (cur.Eat(','));
-                      if (!cur.Eat('}')) return fail("unterminated event");
-                    }
-                    e.rank = static_cast<std::uint16_t>(tail.rank);
-                    tail.events.push_back(e);
-                  } while (cur.Eat(','));
-                  if (!cur.Eat(']')) return fail("unterminated events");
-                }
-              } else {
-                if (!cur.SkipValue()) return fail("bad rank value");
-              }
-            } while (cur.Eat(','));
-            if (!cur.Eat('}')) return fail("unterminated rank");
-          }
-          dump.ranks.push_back(std::move(tail));
-        } while (cur.Eat(','));
-        if (!cur.Eat(']')) return fail("unterminated ranks");
+  const char* why = "malformed dump";
+  const auto parse_event = [&](Event& e) {
+    return ParseObject(cur, [&](const std::string& key) {
+      if (key == "kind") {
+        std::string name;
+        if (!cur.ParseString(&name)) return false;
+        if (EvFromName(name, &e.kind)) return true;
+        why = "unknown event kind";
+        return false;
       }
-    } else {
-      if (!cur.SkipValue()) return fail("bad value");
+      if (key == "detail") {
+        std::string d;
+        if (!cur.ParseString(&d)) return false;
+        CopyDetail(e.detail, d.c_str());
+        return true;
+      }
+      double v = 0;
+      if (!cur.ParseNumber(&v)) return false;
+      if (key == "seq") e.seq = static_cast<std::uint64_t>(v);
+      else if (key == "t_ns") e.t_ns = v;
+      else if (key == "d_ns") e.d_ns = v;
+      else if (key == "req") e.req = static_cast<std::uint64_t>(v);
+      else if (key == "a0") e.a0 = static_cast<std::uint64_t>(v);
+      else if (key == "a1") e.a1 = static_cast<std::uint64_t>(v);
+      return true;
+    });
+  };
+  const auto parse_rank = [&](EventDump::RankTail& tail) {
+    return ParseObject(cur, [&](const std::string& key) {
+      if (key == "rank") {
+        double v = 0;
+        const bool ok = cur.ParseNumber(&v);
+        tail.rank = static_cast<int>(v);
+        return ok;
+      }
+      if (key == "recorded") return ParseU64(cur, &tail.recorded);
+      if (key == "dropped") return ParseU64(cur, &tail.dropped);
+      if (key == "events")
+        return ParseArray(cur, [&] {
+          Event& e = tail.events.emplace_back();
+          const bool ok = parse_event(e);
+          e.rank = static_cast<std::uint16_t>(tail.rank);
+          return ok;
+        });
+      return cur.SkipValue();
+    });
+  };
+  const bool ok = ParseObject(cur, [&](const std::string& key) {
+    if (key == "reason") return cur.ParseString(&dump.reason);
+    if (key == "capacity") {
+      std::uint64_t v = 0;
+      const bool cap_ok = ParseU64(cur, &v);
+      dump.capacity = static_cast<std::size_t>(v);
+      return cap_ok;
     }
-  } while (cur.Eat(','));
-  if (!cur.Eat('}')) return fail("unterminated object");
+    if (key == "ranks")
+      return ParseArray(
+          cur, [&] { return parse_rank(dump.ranks.emplace_back()); });
+    return cur.SkipValue();
+  });
+  if (!ok) return fail(why);
   return dump;
 }
 

@@ -3,10 +3,11 @@
 // The paper's argument (§4–§5) is entirely about *where* I/O time goes —
 // header vs data bytes, independent vs collective paths, two-phase exchange
 // vs file access. This module makes those quantities observable: a
-// process-wide registry of per-rank counters plus opt-in virtual-time span
-// events, populated by instrumentation points in every layer (pfs, mpiio,
-// netcdf/pnetcdf, simmpi) and reduced into an iostat::Report
-// (min/max/sum/mean across ranks) at the end of a run.
+// process-wide registry of per-rank counters, populated by instrumentation
+// points in every layer (pfs, mpiio, netcdf/pnetcdf, simmpi) and reduced
+// into an iostat::Report (min/max/sum/mean across ranks) at the end of a
+// run. The counters are one of the four sinks a probe record (probe.hpp)
+// folds into.
 //
 // Layering: iostat sits at the very bottom of the dependency graph (it links
 // only pnc_util), so every other layer can record into it without cycles.
@@ -18,26 +19,20 @@
 //   * Compile-time: building with -DPNC_IOSTAT_DISABLED (CMake option
 //     PNC_IOSTAT=OFF) expands every PNC_IOSTAT_* macro to nothing.
 //   * Runtime: counters are ON by default and disabled with PNC_IOSTAT=0 in
-//     the environment; spans are OFF by default and enabled with
-//     PNC_IOSTAT_SPANS=1. A disabled counter add is one relaxed atomic load
-//     and a branch; an enabled one adds one relaxed fetch_add.
+//     the environment. A disabled counter add is one relaxed load of the
+//     sink mask and a branch; an enabled one adds one relaxed fetch_add.
 //
-// Production layers must use only the PNC_IOSTAT_* macros below — a grep
-// lint (tests/CMakeLists.txt) rejects direct `iostat::` references and raw
-// stdout instrumentation in those trees.
+// Production layers must use only the PNC_IOSTAT_* / PNC_PROBE macros — a
+// grep lint (tests/CMakeLists.txt) rejects direct `iostat::` references and
+// raw stdout instrumentation in those trees.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <vector>
 
-#if defined(PNC_IOSTAT_DISABLED)
-#define PNC_IOSTAT_ENABLED 0
-#else
-#define PNC_IOSTAT_ENABLED 1
-#endif
+#include "iostat/probe.hpp"
 
 namespace iostat {
 
@@ -103,32 +98,14 @@ const char* CtrName(Ctr c);
 /// Most rank slots a process can address; BindRank clamps beyond this.
 inline constexpr int kMaxRanks = 1024;
 
-/// A closed span on one rank's virtual timeline.
-struct Span {
-  const char* cat;   ///< static string: layer ("mpiio", "pfs", "pnetcdf")
-  const char* name;  ///< static string: phase ("exchange", "io", "write")
-  double start_ns;
-  double end_ns;
-};
-
 class Registry {
  public:
   /// The process-wide registry.
   static Registry& Get();
 
-  // ---- runtime gates (cached once from PNC_IOSTAT / PNC_IOSTAT_SPANS) ----
-  static bool counters_on() {
-    return Get().counters_on_.load(std::memory_order_relaxed);
-  }
-  static bool spans_on() {
-    return Get().spans_on_.load(std::memory_order_relaxed);
-  }
-  void SetCountersEnabled(bool on) {
-    counters_on_.store(on, std::memory_order_relaxed);
-  }
-  void SetSpansEnabled(bool on) {
-    spans_on_.store(on, std::memory_order_relaxed);
-  }
+  // ---- runtime gate (the counters bit of the sink mask, PNC_IOSTAT) ----
+  static bool counters_on() { return SinkOn(kSinkCounters); }
+  void SetCountersEnabled(bool on) { SetSink(kSinkCounters, on); }
 
   // ---- per-thread rank binding ----
   /// Bind the calling thread to a rank slot. The simmpi runtime binds every
@@ -136,22 +113,19 @@ class Registry {
   static void BindRank(int rank);
   [[nodiscard]] static int rank();
 
-  // ---- recording (hot paths; call through the macros) ----
+  // ---- recording (hot paths; call through PNC_IOSTAT_ADD / PNC_PROBE) ----
   void Add(Ctr c, std::uint64_t n);
   /// Raise counter `c` to at least `n` (a high-water gauge, e.g. the deepest
   /// server queue seen). CAS loop; still relaxed.
   void Max(Ctr c, std::uint64_t n);
-  void AddSpan(const char* cat, const char* name, double start_ns,
-               double end_ns);
 
   // ---- inspection ----
   /// Ranks observed so far (max bound rank + 1; at least 1).
   [[nodiscard]] int nranks() const;
   [[nodiscard]] std::uint64_t Value(int rank, Ctr c) const;
-  [[nodiscard]] std::vector<Span> SpansOfRank(int rank) const;
 
-  /// Zero every counter, drop every span, and forget bound ranks (slots stay
-  /// allocated). Benchmarks call this between configurations.
+  /// Zero every counter, empty the other sinks, and forget bound ranks
+  /// (slots stay allocated). Benchmarks call this between configurations.
   void Reset();
 
   /// If PNC_IOSTAT_REPORT names a file (or "-" for stdout), write the JSON
@@ -165,46 +139,27 @@ class Registry {
 
   struct RankSlot {
     std::atomic<std::uint64_t> c[kNumCounters] = {};
-    std::mutex span_mu;
-    std::vector<Span> spans;
   };
 
   std::unique_ptr<RankSlot[]> slots_;
   std::atomic<int> max_rank_{0};
-  std::atomic<bool> counters_on_{true};
-  std::atomic<bool> spans_on_{false};
   std::mutex report_mu_;  ///< serializes AutoReportAtClose writers
 };
 
 }  // namespace iostat
 
 // ---------------------------------------------------------------- macro API
-// The only instrumentation surface production layers may use. `ctr` is the
-// bare enumerator name (e.g. kPfsBytesRead); the macro qualifies it.
+// Counter-only sites use PNC_IOSTAT_ADD; a site that feeds anything else
+// records one PNC_PROBE (probe.hpp). `ctr` is the bare enumerator name
+// (e.g. kPfsBytesRead); the macro qualifies it.
 #if PNC_IOSTAT_ENABLED
 
 /// Add `n` to counter `ctr` (bare enumerator, e.g. kPfsBytesRead) on the
 /// calling thread's rank.
 #define PNC_IOSTAT_ADD(ctr, n)                                       \
   do {                                                               \
-    if (::iostat::Registry::counters_on())                           \
+    if (::iostat::SinkOn(::iostat::kSinkCounters))                   \
       ::iostat::Registry::Get().Add(::iostat::Ctr::ctr,              \
-                                    static_cast<std::uint64_t>(n));  \
-  } while (0)
-
-/// Record a [start_ns, end_ns] span on the calling thread's rank timeline.
-/// `cat`/`name` must be string literals (stored by pointer).
-#define PNC_IOSTAT_SPAN(cat, name, start_ns, end_ns)                     \
-  do {                                                                   \
-    if (::iostat::Registry::spans_on())                                  \
-      ::iostat::Registry::Get().AddSpan(cat, name, start_ns, end_ns);    \
-  } while (0)
-
-/// Raise counter `ctr` to at least `n` (high-water gauge, e.g. queue depth).
-#define PNC_IOSTAT_MAX(ctr, n)                                       \
-  do {                                                               \
-    if (::iostat::Registry::counters_on())                           \
-      ::iostat::Registry::Get().Max(::iostat::Ctr::ctr,              \
                                     static_cast<std::uint64_t>(n));  \
   } while (0)
 
@@ -219,9 +174,6 @@ class Registry {
 // warnings) without evaluating them.
 
 #define PNC_IOSTAT_ADD(ctr, n) ((void)sizeof(n))
-#define PNC_IOSTAT_MAX(ctr, n) ((void)sizeof(n))
-#define PNC_IOSTAT_SPAN(cat, name, start_ns, end_ns) \
-  ((void)sizeof(start_ns), (void)sizeof(end_ns))
 #define PNC_IOSTAT_BIND_RANK(r) ((void)sizeof(r))
 #define PNC_IOSTAT_AUTO_REPORT() ((void)0)
 

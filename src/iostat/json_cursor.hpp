@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -113,6 +114,40 @@ struct Cursor {
     return true;
   }
 };
+
+/// Parse one object: `member(key)` must consume that member's value and
+/// return false if it is malformed. An empty object is accepted.
+template <typename Member>
+bool ParseObject(Cursor& cur, Member&& member) {
+  if (!cur.Eat('{')) return false;
+  if (cur.Eat('}')) return true;
+  do {
+    std::string key;
+    if (!cur.ParseString(&key) || !cur.Eat(':') || !member(key)) return false;
+  } while (cur.Eat(','));
+  return cur.Eat('}');
+}
+
+/// Parse one array: `element()` must consume one element and return false
+/// if it is malformed. An empty array is accepted.
+template <typename Element>
+bool ParseArray(Cursor& cur, Element&& element) {
+  if (!cur.Eat('[')) return false;
+  if (cur.Eat(']')) return true;
+  do {
+    if (!element()) return false;
+  } while (cur.Eat(','));
+  return cur.Eat(']');
+}
+
+/// Parse a number into an unsigned integer (the serializers emit counts as
+/// plain integers; ADL lets callers write ParseU64(cur, &v)).
+inline bool ParseU64(Cursor& cur, std::uint64_t* out) {
+  double v = 0;
+  if (!cur.ParseNumber(&v)) return false;
+  *out = static_cast<std::uint64_t>(v);
+  return true;
+}
 
 /// Position `cur.p` at the '{' opening the object that contains the literal
 /// `marker` (e.g. a schema tag), scanning forward from the current position.

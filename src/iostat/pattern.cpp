@@ -3,59 +3,13 @@
 #include <algorithm>
 #include <bit>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "iostat/json_cursor.hpp"
 #include "iostat/schemas.hpp"
+#include "iostat/text.hpp"
 
 namespace iostat {
-
-namespace {
-
-// Same env convention as the counter gates in iostat.cpp: unset => `def`,
-// "0"/"off"/"false" => false, anything else => true.
-bool EnvFlag(const char* name, bool def) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return def;
-  return !(std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
-           std::strcmp(v, "false") == 0);
-}
-
-void AppendF(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void AppendF(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out.append(buf, static_cast<std::size_t>(n));
-}
-
-void AppendJsonString(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20)
-          AppendF(out, "\\u%04x", static_cast<unsigned>(c));
-        else
-          out.push_back(c);
-    }
-  }
-  out.push_back('"');
-}
-
-}  // namespace
 
 // ------------------------------------------------------------- PatternHist
 
@@ -83,11 +37,6 @@ PatternRegistry& PatternRegistry::Get() {
   return *g;
 }
 
-PatternRegistry::PatternRegistry() {
-  on_.store(EnvFlag("PNC_IOSTAT", true) && EnvFlag("PNC_IOSTAT_PATTERN", true),
-            std::memory_order_relaxed);
-}
-
 PatternRegistry::VarAcc& PatternRegistry::VarSlot(std::string_view var) {
   auto it = vars_.find(var);
   if (it != vars_.end()) return it->second;
@@ -101,18 +50,17 @@ PatternRegistry::VarAcc& PatternRegistry::VarSlot(std::string_view var) {
 
 void PatternRegistry::RecordAccess(std::string_view var, bool is_write,
                                    bool collective,
-                                   const std::vector<std::uint64_t>& offs,
-                                   const std::vector<std::uint64_t>& lens) {
-  if (offs.empty() || offs.size() != lens.size()) return;
+                                   std::span<const pnc::Extent> extents) {
+  if (extents.empty()) return;
   const int rank = Registry::rank();
   std::lock_guard<std::mutex> lk(mu_);
   VarAcc& acc = VarSlot(var.empty() ? std::string_view("*unnamed") : var);
   VarPattern& p = acc.pat;
   ++p.calls;
   std::uint64_t bytes = 0;
-  for (const std::uint64_t len : lens) {
-    p.extent_bytes.Add(len);
-    bytes += len;
+  for (const pnc::Extent& e : extents) {
+    p.extent_bytes.Add(e.len);
+    bytes += e.len;
   }
   if (is_write) {
     ++p.writes;
@@ -127,15 +75,14 @@ void PatternRegistry::RecordAccess(std::string_view var, bool is_write,
     ++p.indep;
 
   SeqState& st = acc.seq[rank];
-  if (offs.size() > 1) {
+  if (extents.size() > 1) {
     // Within-call classification: constant length + constant start-to-start
     // stride = strided, anything irregular = random.
     bool regular = true;
-    for (std::size_t i = 1; i < lens.size(); ++i)
-      if (lens[i] != lens[0]) regular = false;
-    const std::uint64_t stride0 = offs[1] - offs[0];
-    for (std::size_t i = 1; i < offs.size(); ++i) {
-      const std::uint64_t s = offs[i] - offs[i - 1];
+    const std::uint64_t stride0 = extents[1].offset - extents[0].offset;
+    for (std::size_t i = 1; i < extents.size(); ++i) {
+      if (extents[i].len != extents[0].len) regular = false;
+      const std::uint64_t s = extents[i].offset - extents[i - 1].offset;
       p.stride_bytes.Add(s);
       if (s != stride0) regular = false;
     }
@@ -150,7 +97,7 @@ void PatternRegistry::RecordAccess(std::string_view var, bool is_write,
     if (!st.has_last) {
       ++p.contig;
     } else {
-      const std::int64_t gap = static_cast<std::int64_t>(offs[0]) -
+      const std::int64_t gap = static_cast<std::int64_t>(extents[0].offset) -
                                static_cast<std::int64_t>(st.last_end);
       if (gap == 0) {
         ++p.contig;
@@ -168,10 +115,10 @@ void PatternRegistry::RecordAccess(std::string_view var, bool is_write,
     }
   }
   st.has_last = true;
-  st.last_end = offs.back() + lens.back();
+  st.last_end = extents.back().end();
 }
 
-void PatternRegistry::RecordTwophasePre(const std::vector<pnc::Extent>& segs) {
+void PatternRegistry::RecordTwophasePre(std::span<const pnc::Extent> segs) {
   std::lock_guard<std::mutex> lk(mu_);
   for (const auto& s : segs) twophase_pre_.Add(s.len);
 }
@@ -444,209 +391,124 @@ namespace {
 
 using jsoncur::Cursor;
 
-bool ParseU64(Cursor& cur, std::uint64_t* out) {
-  double v = 0;
-  if (!cur.ParseNumber(&v)) return false;
-  *out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
 bool ParseHist(Cursor& cur, PatternHist* h) {
-  if (!cur.Eat('{')) return false;
-  if (cur.Eat('}')) return true;
-  do {
-    std::string key;
-    if (!cur.ParseString(&key) || !cur.Eat(':')) return false;
-    if (key == "count") {
-      if (!ParseU64(cur, &h->count)) return false;
-    } else if (key == "sum") {
-      if (!ParseU64(cur, &h->sum)) return false;
-    } else if (key == "min") {
-      if (!ParseU64(cur, &h->min)) return false;
-    } else if (key == "max") {
-      if (!ParseU64(cur, &h->max)) return false;
-    } else if (key == "b") {
-      if (!cur.Eat('[')) return false;
-      if (!cur.Eat(']')) {
-        do {
-          double idx = 0;
-          std::uint64_t n = 0;
-          if (!cur.Eat('[') || !cur.ParseNumber(&idx) || !cur.Eat(',') ||
-              !ParseU64(cur, &n) || !cur.Eat(']'))
-            return false;
-          const int i = static_cast<int>(idx);
-          if (i >= 0 && i < PatternHist::kBuckets) h->bucket[i] = n;
-        } while (cur.Eat(','));
-        if (!cur.Eat(']')) return false;
-      }
-    } else {
-      if (!cur.SkipValue()) return false;
-    }
-  } while (cur.Eat(','));
-  return cur.Eat('}');
+  return ParseObject(cur, [&](const std::string& key) {
+    if (key == "count") return ParseU64(cur, &h->count);
+    if (key == "sum") return ParseU64(cur, &h->sum);
+    if (key == "min") return ParseU64(cur, &h->min);
+    if (key == "max") return ParseU64(cur, &h->max);
+    if (key != "b") return cur.SkipValue();
+    return ParseArray(cur, [&] {
+      double idx = 0;
+      std::uint64_t n = 0;
+      if (!cur.Eat('[') || !cur.ParseNumber(&idx) || !cur.Eat(',') ||
+          !ParseU64(cur, &n) || !cur.Eat(']'))
+        return false;
+      const int i = static_cast<int>(idx);
+      if (i >= 0 && i < PatternHist::kBuckets) h->bucket[i] = n;
+      return true;
+    });
+  });
 }
 
 bool ParseVar(Cursor& cur, VarPattern* v) {
-  if (!cur.Eat('{')) return false;
-  if (cur.Eat('}')) return true;
-  do {
-    std::string key;
-    if (!cur.ParseString(&key) || !cur.Eat(':')) return false;
-    bool ok = true;
-    if (key == "var") ok = cur.ParseString(&v->var);
-    else if (key == "calls") ok = ParseU64(cur, &v->calls);
-    else if (key == "writes") ok = ParseU64(cur, &v->writes);
-    else if (key == "reads") ok = ParseU64(cur, &v->reads);
-    else if (key == "indep") ok = ParseU64(cur, &v->indep);
-    else if (key == "coll") ok = ParseU64(cur, &v->coll);
-    else if (key == "contig") ok = ParseU64(cur, &v->contig);
-    else if (key == "strided") ok = ParseU64(cur, &v->strided);
-    else if (key == "random") ok = ParseU64(cur, &v->random);
-    else if (key == "bytes_written") ok = ParseU64(cur, &v->bytes_written);
-    else if (key == "bytes_read") ok = ParseU64(cur, &v->bytes_read);
-    else if (key == "extent") ok = ParseHist(cur, &v->extent_bytes);
-    else if (key == "stride") ok = ParseHist(cur, &v->stride_bytes);
-    else ok = cur.SkipValue();
-    if (!ok) return false;
-  } while (cur.Eat(','));
-  return cur.Eat('}');
+  return ParseObject(cur, [&](const std::string& key) {
+    if (key == "var") return cur.ParseString(&v->var);
+    if (key == "calls") return ParseU64(cur, &v->calls);
+    if (key == "writes") return ParseU64(cur, &v->writes);
+    if (key == "reads") return ParseU64(cur, &v->reads);
+    if (key == "indep") return ParseU64(cur, &v->indep);
+    if (key == "coll") return ParseU64(cur, &v->coll);
+    if (key == "contig") return ParseU64(cur, &v->contig);
+    if (key == "strided") return ParseU64(cur, &v->strided);
+    if (key == "random") return ParseU64(cur, &v->random);
+    if (key == "bytes_written") return ParseU64(cur, &v->bytes_written);
+    if (key == "bytes_read") return ParseU64(cur, &v->bytes_read);
+    if (key == "extent") return ParseHist(cur, &v->extent_bytes);
+    if (key == "stride") return ParseHist(cur, &v->stride_bytes);
+    return cur.SkipValue();
+  });
 }
 
 bool ParseServer(Cursor& cur, ServerPattern* sv) {
-  if (!cur.Eat('{')) return false;
-  if (cur.Eat('}')) return true;
-  do {
-    std::string key;
-    if (!cur.ParseString(&key) || !cur.Eat(':')) return false;
-    bool ok = true;
-    if (key == "grants") ok = ParseU64(cur, &sv->grants);
-    else if (key == "bytes") ok = ParseU64(cur, &sv->bytes);
-    else if (key == "busy_ns") ok = cur.ParseNumber(&sv->busy_ns);
-    else if (key == "queue_wait_ns") ok = cur.ParseNumber(&sv->queue_wait_ns);
-    else if (key == "offsets") ok = ParseHist(cur, &sv->offsets);
-    else ok = cur.SkipValue();
-    if (!ok) return false;
-  } while (cur.Eat(','));
-  return cur.Eat('}');
+  return ParseObject(cur, [&](const std::string& key) {
+    if (key == "grants") return ParseU64(cur, &sv->grants);
+    if (key == "bytes") return ParseU64(cur, &sv->bytes);
+    if (key == "busy_ns") return cur.ParseNumber(&sv->busy_ns);
+    if (key == "queue_wait_ns") return cur.ParseNumber(&sv->queue_wait_ns);
+    if (key == "offsets") return ParseHist(cur, &sv->offsets);
+    return cur.SkipValue();
+  });
 }
 
 bool ParseCell(Cursor& cur, HeatCell* c) {
-  if (!cur.Eat('{')) return false;
-  if (cur.Eat('}')) return true;
-  do {
-    std::string key;
-    if (!cur.ParseString(&key) || !cur.Eat(':')) return false;
-    bool ok = true;
-    double v = 0;
+  return ParseObject(cur, [&](const std::string& key) {
     if (key == "s") {
-      ok = cur.ParseNumber(&v);
+      double v = 0;
+      const bool ok = cur.ParseNumber(&v);
       c->server = static_cast<int>(v);
-    } else if (key == "t") ok = ParseU64(cur, &c->t_bucket);
-    else if (key == "busy_ns") ok = cur.ParseNumber(&c->busy_ns);
-    else if (key == "bytes") ok = ParseU64(cur, &c->bytes);
-    else if (key == "grants") ok = ParseU64(cur, &c->grants);
-    else if (key == "depth") ok = ParseU64(cur, &c->depth_max);
-    else ok = cur.SkipValue();
-    if (!ok) return false;
-  } while (cur.Eat(','));
-  return cur.Eat('}');
+      return ok;
+    }
+    if (key == "t") return ParseU64(cur, &c->t_bucket);
+    if (key == "busy_ns") return cur.ParseNumber(&c->busy_ns);
+    if (key == "bytes") return ParseU64(cur, &c->bytes);
+    if (key == "grants") return ParseU64(cur, &c->grants);
+    if (key == "depth") return ParseU64(cur, &c->depth_max);
+    return cur.SkipValue();
+  });
 }
 
 }  // namespace
 
 bool ParsePatternValue(jsoncur::Cursor& cur, PatternSummary* out) {
   *out = PatternSummary{};
-  if (!cur.Eat('{')) return false;
-  if (cur.Eat('}')) return true;
-  do {
-    std::string key;
-    if (!cur.ParseString(&key) || !cur.Eat(':')) return false;
-    bool ok = true;
+  const bool ok = ParseObject(cur, [&](const std::string& key) {
     if (key == "schema") {
       std::string s;
-      ok = cur.ParseString(&s) && s == schemas::kPattern;
-    } else if (key == "cell_ns") {
-      ok = cur.ParseNumber(&out->cell_ns);
-    } else if (key == "vars") {
-      if (!cur.Eat('[')) return false;
-      if (!cur.Eat(']')) {
-        do {
-          VarPattern v;
-          if (!ParseVar(cur, &v)) return false;
-          out->vars.push_back(std::move(v));
-        } while (cur.Eat(','));
-        if (!cur.Eat(']')) return false;
-      }
-    } else if (key == "servers") {
-      if (!cur.Eat('[')) return false;
-      if (!cur.Eat(']')) {
-        do {
-          ServerPattern sv;
-          if (!ParseServer(cur, &sv)) return false;
-          out->servers.push_back(std::move(sv));
-        } while (cur.Eat(','));
-        if (!cur.Eat(']')) return false;
-      }
-    } else if (key == "cells") {
-      if (!cur.Eat('[')) return false;
-      if (!cur.Eat(']')) {
-        do {
-          HeatCell c;
-          if (!ParseCell(cur, &c)) return false;
-          out->cells.push_back(c);
-        } while (cur.Eat(','));
-        if (!cur.Eat(']')) return false;
-      }
-    } else if (key == "twophase") {
-      if (!cur.Eat('{')) return false;
-      if (!cur.Eat('}')) {
-        do {
-          std::string k2;
-          if (!cur.ParseString(&k2) || !cur.Eat(':')) return false;
-          if (k2 == "pre") ok = ParseHist(cur, &out->twophase_pre);
-          else if (k2 == "post") ok = ParseHist(cur, &out->twophase_post);
-          else ok = cur.SkipValue();
-          if (!ok) return false;
-        } while (cur.Eat(','));
-        if (!cur.Eat('}')) return false;
-      }
-    } else if (key == "sieve") {
-      if (!cur.Eat('{')) return false;
-      if (!cur.Eat('}')) {
-        do {
-          std::string k2;
-          if (!cur.ParseString(&k2) || !cur.Eat(':')) return false;
-          std::uint64_t v = 0;
-          if (!ParseU64(cur, &v)) return false;
-          if (k2 == "rd_windows") out->sieve_rd_windows = v;
-          else if (k2 == "wr_windows") out->sieve_wr_windows = v;
-          else if (k2 == "rd_wanted") out->sieve_rd_wanted = v;
-          else if (k2 == "rd_file") out->sieve_rd_file = v;
-          else if (k2 == "wr_wanted") out->sieve_wr_wanted = v;
-          else if (k2 == "wr_file") out->sieve_wr_file = v;
-          else if (k2 == "rd_rereads") out->sieve_rd_rereads = v;
-        } while (cur.Eat(','));
-        if (!cur.Eat('}')) return false;
-      }
-    } else if (key == "agg") {
-      if (!cur.Eat('[')) return false;
-      if (!cur.Eat(']')) {
-        do {
-          double rank = 0;
-          std::uint64_t b = 0;
-          if (!cur.Eat('[') || !cur.ParseNumber(&rank) || !cur.Eat(',') ||
-              !ParseU64(cur, &b) || !cur.Eat(']'))
-            return false;
-          out->agg_bytes.emplace_back(static_cast<int>(rank), b);
-        } while (cur.Eat(','));
-        if (!cur.Eat(']')) return false;
-      }
-    } else {
-      ok = cur.SkipValue();
+      return cur.ParseString(&s) && s == schemas::kPattern;
     }
-    if (!ok) return false;
-  } while (cur.Eat(','));
-  if (!cur.Eat('}')) return false;
+    if (key == "cell_ns") return cur.ParseNumber(&out->cell_ns);
+    if (key == "vars")
+      return ParseArray(cur,
+                        [&] { return ParseVar(cur, &out->vars.emplace_back()); });
+    if (key == "servers")
+      return ParseArray(
+          cur, [&] { return ParseServer(cur, &out->servers.emplace_back()); });
+    if (key == "cells")
+      return ParseArray(
+          cur, [&] { return ParseCell(cur, &out->cells.emplace_back()); });
+    if (key == "twophase")
+      return ParseObject(cur, [&](const std::string& k) {
+        if (k == "pre") return ParseHist(cur, &out->twophase_pre);
+        if (k == "post") return ParseHist(cur, &out->twophase_post);
+        return cur.SkipValue();
+      });
+    if (key == "sieve")
+      return ParseObject(cur, [&](const std::string& k) {
+        std::uint64_t v = 0;
+        if (!ParseU64(cur, &v)) return false;
+        if (k == "rd_windows") out->sieve_rd_windows = v;
+        else if (k == "wr_windows") out->sieve_wr_windows = v;
+        else if (k == "rd_wanted") out->sieve_rd_wanted = v;
+        else if (k == "rd_file") out->sieve_rd_file = v;
+        else if (k == "wr_wanted") out->sieve_wr_wanted = v;
+        else if (k == "wr_file") out->sieve_wr_file = v;
+        else if (k == "rd_rereads") out->sieve_rd_rereads = v;
+        return true;
+      });
+    if (key == "agg")
+      return ParseArray(cur, [&] {
+        double rank = 0;
+        std::uint64_t b = 0;
+        if (!cur.Eat('[') || !cur.ParseNumber(&rank) || !cur.Eat(',') ||
+            !ParseU64(cur, &b) || !cur.Eat(']'))
+          return false;
+        out->agg_bytes.emplace_back(static_cast<int>(rank), b);
+        return true;
+      });
+    return cur.SkipValue();
+  });
+  if (!ok) return false;
   out->present =
       !out->vars.empty() || !out->servers.empty() || !out->agg_bytes.empty() ||
       out->twophase_pre.count > 0 || out->sieve_rd_windows > 0 ||

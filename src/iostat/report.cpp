@@ -1,29 +1,13 @@
 #include "iostat/report.hpp"
 
-#include <cstdarg>
 #include <cinttypes>
 #include <cstdio>
 
 #include "iostat/json_cursor.hpp"
 #include "iostat/schemas.hpp"
+#include "iostat/text.hpp"
 
 namespace iostat {
-
-namespace {
-
-void AppendF(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void AppendF(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out.append(buf, static_cast<std::size_t>(n));
-}
-
-}  // namespace
 
 Report BuildReport() {
   const Registry& reg = Registry::Get();
@@ -124,88 +108,61 @@ bool LookupCtr(const std::string& name, Ctr* out) {
 }
 
 bool ParseAgg(Cursor& cur, Report::Agg* agg) {
-  if (!cur.Eat('{')) return false;
-  if (cur.Eat('}')) return true;
-  do {
-    std::string key;
+  return ParseObject(cur, [&](const std::string& key) {
     double v = 0;
-    if (!cur.ParseString(&key) || !cur.Eat(':') || !cur.ParseNumber(&v))
-      return false;
+    if (!cur.ParseNumber(&v)) return false;
     if (key == "min") agg->min = static_cast<std::uint64_t>(v);
     else if (key == "max") agg->max = static_cast<std::uint64_t>(v);
     else if (key == "sum") agg->sum = static_cast<std::uint64_t>(v);
     else if (key == "mean") agg->mean = v;
-  } while (cur.Eat(','));
-  return cur.Eat('}');
+    return true;
+  });
 }
 
 }  // namespace
 
 pnc::Result<Report> ParseReportJson(std::string_view text) {
   Cursor cur{text.data(), text.data() + text.size()};
-  const auto fail = [](const char* what) {
-    return pnc::Status(pnc::Err::kNotNc, std::string("iostat report: ") + what);
-  };
   // The report may be nested inside a bench record: scan forward to the
   // schema marker and parse the object that contains it.
   if (!jsoncur::SeekObjectWithMarker(cur, schemas::kIostat))
-    return fail("schema marker not found");
+    return pnc::Status(pnc::Err::kNotNc,
+                       "iostat report: schema marker not found");
 
   Report rep;
-  if (!cur.Eat('{')) return fail("expected object");
-  if (!cur.Eat('}')) {
-    do {
-      std::string key;
-      if (!cur.ParseString(&key) || !cur.Eat(':')) return fail("bad member");
-      if (key == "nranks") {
+  const bool ok = ParseObject(cur, [&](const std::string& key) {
+    if (key == "nranks") {
+      double v = 0;
+      const bool n_ok = cur.ParseNumber(&v);
+      rep.nranks = static_cast<int>(v);
+      return n_ok;
+    }
+    if (key == "counters")
+      return ParseObject(cur, [&](const std::string& name) {
+        Report::Agg agg;
+        if (!ParseAgg(cur, &agg)) return false;
+        Ctr c;
+        if (LookupCtr(name, &c))
+          rep.counters[static_cast<std::size_t>(c)] = agg;
+        return true;
+      });
+    if (key == "derived")
+      return ParseObject(cur, [&](const std::string& name) {
         double v = 0;
-        if (!cur.ParseNumber(&v)) return fail("bad nranks");
-        rep.nranks = static_cast<int>(v);
-      } else if (key == "counters") {
-        if (!cur.Eat('{')) return fail("bad counters");
-        if (!cur.Eat('}')) {
-          do {
-            std::string name;
-            if (!cur.ParseString(&name) || !cur.Eat(':'))
-              return fail("bad counter");
-            Report::Agg agg;
-            if (!ParseAgg(cur, &agg)) return fail("bad counter aggregate");
-            Ctr c;
-            if (LookupCtr(name, &c))
-              rep.counters[static_cast<std::size_t>(c)] = agg;
-          } while (cur.Eat(','));
-          if (!cur.Eat('}')) return fail("unterminated counters");
-        }
-      } else if (key == "derived") {
-        if (!cur.Eat('{')) return fail("bad derived");
-        if (!cur.Eat('}')) {
-          do {
-            std::string name;
-            double v = 0;
-            if (!cur.ParseString(&name) || !cur.Eat(':') ||
-                !cur.ParseNumber(&v))
-              return fail("bad derived member");
-            if (name == "sieve_amplification") rep.sieve_amplification = v;
-            else if (name == "twophase_amplification")
-              rep.twophase_amplification = v;
-            else if (name == "exchange_frac") rep.exchange_frac = v;
-            else if (name == "pfs_busy_frac") rep.pfs_busy_frac = v;
-            else if (name == "pfs_queue_wait_frac")
-              rep.pfs_queue_wait_frac = v;
-          } while (cur.Eat(','));
-          if (!cur.Eat('}')) return fail("unterminated derived");
-        }
-      } else if (key == "pattern") {
-        if (!ParsePatternValue(cur, &rep.pattern)) return fail("bad pattern");
-      } else if (key == "timeline") {
-        if (!ParseTimelineValue(cur, &rep.timeline))
-          return fail("bad timeline");
-      } else {
-        if (!cur.SkipValue()) return fail("bad value");
-      }
-    } while (cur.Eat(','));
-    if (!cur.Eat('}')) return fail("unterminated object");
-  }
+        if (!cur.ParseNumber(&v)) return false;
+        if (name == "sieve_amplification") rep.sieve_amplification = v;
+        else if (name == "twophase_amplification")
+          rep.twophase_amplification = v;
+        else if (name == "exchange_frac") rep.exchange_frac = v;
+        else if (name == "pfs_busy_frac") rep.pfs_busy_frac = v;
+        else if (name == "pfs_queue_wait_frac") rep.pfs_queue_wait_frac = v;
+        return true;
+      });
+    if (key == "pattern") return ParsePatternValue(cur, &rep.pattern);
+    if (key == "timeline") return ParseTimelineValue(cur, &rep.timeline);
+    return cur.SkipValue();
+  });
+  if (!ok) return pnc::Status(pnc::Err::kNotNc, "iostat report: malformed");
   return rep;
 }
 

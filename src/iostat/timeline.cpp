@@ -3,59 +3,17 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <set>
 
 #include "iostat/events.hpp"
 #include "iostat/json_cursor.hpp"
 #include "iostat/schemas.hpp"
+#include "iostat/text.hpp"
 
 namespace iostat {
 
 namespace {
-
-// Same env convention as the counter gates in iostat.cpp: unset => `def`,
-// "0"/"off"/"false" => false, anything else => true.
-bool EnvFlag(const char* name, bool def) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return def;
-  return !(std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
-           std::strcmp(v, "false") == 0);
-}
-
-void AppendF(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void AppendF(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out.append(buf, static_cast<std::size_t>(n));
-}
-
-void AppendJsonString(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20)
-          AppendF(out, "\\u%04x", static_cast<unsigned>(c));
-        else
-          out.push_back(c);
-    }
-  }
-  out.push_back('"');
-}
 
 /// Bucket-wise histogram merge — the property that makes per-bucket p99s
 /// survive coarsening exactly.
@@ -109,14 +67,7 @@ TimelineRegistry& TimelineRegistry::Get() {
   return *g;
 }
 
-TimelineRegistry::TimelineRegistry() {
-  // Unlike counters/pattern, the timeline is opt-in: committed bench
-  // baselines embed the iostat report, and default-ON would change them.
-  on_.store(
-      EnvFlag("PNC_IOSTAT", true) && EnvFlag("PNC_IOSTAT_TIMELINE", false),
-      std::memory_order_relaxed);
-  monitor_.SetRules(SloRulesFromEnv());
-}
+TimelineRegistry::TimelineRegistry() { monitor_.SetRules(SloRulesFromEnv()); }
 
 void TimelineRegistry::SetSloRules(std::vector<SloRule> rules) {
   std::lock_guard<std::mutex> lk(mu_);
@@ -412,146 +363,97 @@ namespace {
 
 using jsoncur::Cursor;
 
-bool ParseU64(Cursor& cur, std::uint64_t* out) {
-  double v = 0;
-  if (!cur.ParseNumber(&v)) return false;
-  *out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
 bool ParseRuleStatus(Cursor& cur, SloRuleStatus* r) {
-  if (!cur.Eat('{')) return false;
-  if (cur.Eat('}')) return true;
-  do {
-    std::string key;
-    if (!cur.ParseString(&key) || !cur.Eat(':')) return false;
-    bool ok = true;
-    if (key == "id") ok = cur.ParseString(&r->rule.id);
-    else if (key == "kind") {
+  return ParseObject(cur, [&](const std::string& key) {
+    if (key == "id") return cur.ParseString(&r->rule.id);
+    if (key == "kind") {
       std::string k;
-      ok = cur.ParseString(&k) && SloKindFromName(k, &r->rule.kind);
-    } else if (key == "tenant") ok = cur.ParseString(&r->rule.tenant);
-    else if (key == "threshold") ok = cur.ParseNumber(&r->rule.threshold);
-    else if (key == "window") {
+      return cur.ParseString(&k) && SloKindFromName(k, &r->rule.kind);
+    }
+    if (key == "tenant") return cur.ParseString(&r->rule.tenant);
+    if (key == "threshold") return cur.ParseNumber(&r->rule.threshold);
+    if (key == "window") {
       double w = 1;
-      ok = cur.ParseNumber(&w);
+      const bool ok = cur.ParseNumber(&w);
       r->rule.window = static_cast<int>(w);
-    } else if (key == "tripped") ok = ParseU64(cur, &r->tripped_buckets);
-    else if (key == "violations") ok = ParseU64(cur, &r->violations);
-    else if (key == "first_ns") ok = cur.ParseNumber(&r->first_violation_ns);
-    else if (key == "worst") ok = cur.ParseNumber(&r->worst);
-    else ok = cur.SkipValue();
-    if (!ok) return false;
-  } while (cur.Eat(','));
-  return cur.Eat('}');
+      return ok;
+    }
+    if (key == "tripped") return ParseU64(cur, &r->tripped_buckets);
+    if (key == "violations") return ParseU64(cur, &r->violations);
+    if (key == "first_ns") return cur.ParseNumber(&r->first_violation_ns);
+    if (key == "worst") return cur.ParseNumber(&r->worst);
+    return cur.SkipValue();
+  });
 }
 
 bool ParseHealth(Cursor& cur, HealthStatus* h) {
-  if (!cur.Eat('{')) return false;
-  if (cur.Eat('}')) return true;
-  do {
-    std::string key;
-    if (!cur.ParseString(&key) || !cur.Eat(':')) return false;
-    bool ok = true;
+  return ParseObject(cur, [&](const std::string& key) {
     if (key == "evaluated") {
       double v = 0;
-      ok = cur.ParseNumber(&v);
+      const bool ok = cur.ParseNumber(&v);
       h->evaluated = v != 0;
-    } else if (key == "violations") {
-      ok = ParseU64(cur, &h->total_violations);
-    } else if (key == "rules") {
-      if (!cur.Eat('[')) return false;
-      if (!cur.Eat(']')) {
-        do {
-          SloRuleStatus r;
-          if (!ParseRuleStatus(cur, &r)) return false;
-          h->rules.push_back(std::move(r));
-        } while (cur.Eat(','));
-        if (!cur.Eat(']')) return false;
-      }
-    } else {
-      ok = cur.SkipValue();
+      return ok;
     }
-    if (!ok) return false;
-  } while (cur.Eat(','));
-  return cur.Eat('}');
+    if (key == "violations") return ParseU64(cur, &h->total_violations);
+    if (key == "rules")
+      return ParseArray(cur, [&] {
+        return ParseRuleStatus(cur, &h->rules.emplace_back());
+      });
+    return cur.SkipValue();
+  });
 }
 
 }  // namespace
 
 bool ParseTimelineValue(jsoncur::Cursor& cur, TimelineSummary* out) {
   *out = TimelineSummary{};
-  if (!cur.Eat('{')) return false;
-  if (cur.Eat('}')) return true;
-  do {
-    std::string key;
-    if (!cur.ParseString(&key) || !cur.Eat(':')) return false;
-    bool ok = true;
+  const bool ok = ParseObject(cur, [&](const std::string& key) {
     if (key == "schema") {
       std::string s;
-      ok = cur.ParseString(&s) && s == schemas::kTimeline;
-    } else if (key == "cell_ns") {
-      ok = cur.ParseNumber(&out->cell_ns);
-    } else if (key == "horizon_ns") {
-      ok = cur.ParseNumber(&out->horizon_ns);
-    } else if (key == "servers") {
-      if (!cur.Eat('[')) return false;
-      if (!cur.Eat(']')) {
-        do {
-          TlServerCell c;
-          double sv = 0;
-          if (!cur.Eat('[') || !ParseU64(cur, &c.bucket) || !cur.Eat(',') ||
-              !cur.ParseNumber(&sv) || !cur.Eat(',') ||
-              !cur.ParseNumber(&c.bytes) || !cur.Eat(',') ||
-              !cur.ParseNumber(&c.busy_ns) || !cur.Eat(',') ||
-              !ParseU64(cur, &c.grants) || !cur.Eat(',') ||
-              !ParseU64(cur, &c.depth_max) || !cur.Eat(']'))
-            return false;
-          c.server = static_cast<int>(sv);
-          out->servers.push_back(c);
-        } while (cur.Eat(','));
-        if (!cur.Eat(']')) return false;
-      }
-    } else if (key == "tenants") {
-      if (!cur.Eat('[')) return false;
-      if (!cur.Eat(']')) {
-        do {
-          TlTenantCell c;
-          if (!cur.Eat('[') || !cur.ParseString(&c.tenant) || !cur.Eat(',') ||
-              !ParseU64(cur, &c.bucket) || !cur.Eat(',') ||
-              !cur.ParseNumber(&c.bytes) || !cur.Eat(',') ||
-              !cur.ParseNumber(&c.wait_ns) || !cur.Eat(',') ||
-              !ParseU64(cur, &c.grants) || !cur.Eat(',') ||
-              !ParseU64(cur, &c.misses) || !cur.Eat(',') ||
-              !cur.ParseNumber(&c.p99_wait_ns) || !cur.Eat(']'))
-            return false;
-          out->tenants.push_back(std::move(c));
-        } while (cur.Eat(','));
-        if (!cur.Eat(']')) return false;
-      }
-    } else if (key == "tracks") {
-      if (!cur.Eat('[')) return false;
-      if (!cur.Eat(']')) {
-        do {
-          TlTrackCell c;
-          double tr = 0;
-          if (!cur.Eat('[') || !cur.ParseNumber(&tr) || !cur.Eat(',') ||
-              !ParseU64(cur, &c.bucket) || !cur.Eat(',') ||
-              !cur.ParseNumber(&c.value) || !cur.Eat(']'))
-            return false;
-          c.track = static_cast<int>(tr);
-          out->tracks.push_back(c);
-        } while (cur.Eat(','));
-        if (!cur.Eat(']')) return false;
-      }
-    } else if (key == "health") {
-      ok = ParseHealth(cur, &out->health);
-    } else {
-      ok = cur.SkipValue();
+      return cur.ParseString(&s) && s == schemas::kTimeline;
     }
-    if (!ok) return false;
-  } while (cur.Eat(','));
-  if (!cur.Eat('}')) return false;
+    if (key == "cell_ns") return cur.ParseNumber(&out->cell_ns);
+    if (key == "horizon_ns") return cur.ParseNumber(&out->horizon_ns);
+    if (key == "servers")
+      return ParseArray(cur, [&] {
+        TlServerCell& c = out->servers.emplace_back();
+        double sv = 0;
+        const bool cell_ok =
+            cur.Eat('[') && ParseU64(cur, &c.bucket) && cur.Eat(',') &&
+            cur.ParseNumber(&sv) && cur.Eat(',') &&
+            cur.ParseNumber(&c.bytes) && cur.Eat(',') &&
+            cur.ParseNumber(&c.busy_ns) && cur.Eat(',') &&
+            ParseU64(cur, &c.grants) && cur.Eat(',') &&
+            ParseU64(cur, &c.depth_max) && cur.Eat(']');
+        c.server = static_cast<int>(sv);
+        return cell_ok;
+      });
+    if (key == "tenants")
+      return ParseArray(cur, [&] {
+        TlTenantCell& c = out->tenants.emplace_back();
+        return cur.Eat('[') && cur.ParseString(&c.tenant) && cur.Eat(',') &&
+               ParseU64(cur, &c.bucket) && cur.Eat(',') &&
+               cur.ParseNumber(&c.bytes) && cur.Eat(',') &&
+               cur.ParseNumber(&c.wait_ns) && cur.Eat(',') &&
+               ParseU64(cur, &c.grants) && cur.Eat(',') &&
+               ParseU64(cur, &c.misses) && cur.Eat(',') &&
+               cur.ParseNumber(&c.p99_wait_ns) && cur.Eat(']');
+      });
+    if (key == "tracks")
+      return ParseArray(cur, [&] {
+        TlTrackCell& c = out->tracks.emplace_back();
+        double tr = 0;
+        const bool cell_ok = cur.Eat('[') && cur.ParseNumber(&tr) &&
+                             cur.Eat(',') && ParseU64(cur, &c.bucket) &&
+                             cur.Eat(',') && cur.ParseNumber(&c.value) &&
+                             cur.Eat(']');
+        c.track = static_cast<int>(tr);
+        return cell_ok;
+      });
+    if (key == "health") return ParseHealth(cur, &out->health);
+    return cur.SkipValue();
+  });
+  if (!ok) return false;
   out->present = !out->servers.empty() || !out->tenants.empty() ||
                  !out->tracks.empty() || out->horizon_ns > 0;
   return true;

@@ -1,7 +1,7 @@
-// Chrome trace-event (chrome://tracing / Perfetto) export of the span
-// timeline recorded in the iostat registry. Spans are keyed by virtual time
-// (simmpi::VirtualClock nanoseconds), so the exported timeline shows the
-// simulated schedule, not wall time.
+// Chrome trace-event (chrome://tracing / Perfetto) export of the flight
+// recorder's retained tail (PNC_FLIGHT_EVENTS per rank). Events are keyed
+// by virtual time (simmpi::VirtualClock nanoseconds), so the exported
+// timeline shows the simulated schedule, not wall time.
 #pragma once
 
 #include <string>
@@ -12,7 +12,8 @@
 
 namespace iostat {
 
-/// Encode every recorded span as trace-event JSON:
+/// Encode the two-phase exchange/io phases of every rank as trace-event
+/// JSON slices, one per begin/end event pair:
 ///   {"traceEvents":[{"name":..,"cat":..,"ph":"X","ts":..,"dur":..,
 ///                    "pid":0,"tid":<rank>}, ...],
 ///    "displayTimeUnit":"ms"}

@@ -9,8 +9,6 @@
 #include "format/sums.hpp"
 #include "iostat/events.hpp"
 #include "iostat/iostat.hpp"
-#include "iostat/pattern.hpp"
-#include "iostat/timeline.hpp"
 #include "util/crc32.hpp"
 
 namespace pnetcdf {
@@ -592,8 +590,7 @@ pnc::Status Dataset::Redef() {
   if (im.indep) return pnc::Status(pnc::Err::kInIndep);
   im.pre_redef = im.header;
   im.defining = true;
-  PNC_IOSTAT_ADD(kNcModeSwitches, 1);
-  PNC_IOSTAT_TIMELINE_MARK(kModeSwitches, im.comm.clock().now(), 1);
+  PNC_PROBE(kModeSwitch, .t_begin = im.comm.clock().now());
   if (im.comm.FaultsArmed()) return FtBarrier(im);
   im.comm.Barrier();
   return pnc::Status::Ok();
@@ -707,8 +704,7 @@ pnc::Status Dataset::EndDef() {
   im.defining = false;
   im.fresh = false;
   im.pre_redef.reset();
-  PNC_IOSTAT_ADD(kNcModeSwitches, 1);
-  PNC_IOSTAT_TIMELINE_MARK(kModeSwitches, im.comm.clock().now(), 1);
+  PNC_PROBE(kModeSwitch, .t_begin = im.comm.clock().now());
   return pnc::Status::Ok();
 }
 
@@ -802,8 +798,7 @@ pnc::Status Dataset::BeginIndepData() {
     im.comm.Barrier();
   }
   im.indep = true;
-  PNC_IOSTAT_ADD(kNcModeSwitches, 1);
-  PNC_IOSTAT_TIMELINE_MARK(kModeSwitches, im.comm.clock().now(), 1);
+  PNC_PROBE(kModeSwitch, .t_begin = im.comm.clock().now());
   return pnc::Status::Ok();
 }
 
@@ -812,8 +807,7 @@ pnc::Status Dataset::EndIndepData() {
   auto& im = *impl_;
   if (!im.indep) return pnc::Status(pnc::Err::kNotIndep);
   im.indep = false;
-  PNC_IOSTAT_ADD(kNcModeSwitches, 1);
-  PNC_IOSTAT_TIMELINE_MARK(kModeSwitches, im.comm.clock().now(), 1);
+  PNC_PROBE(kModeSwitch, .t_begin = im.comm.clock().now());
   // Record counts may have diverged across ranks during independent writes;
   // converge on the maximum and persist it.
   PNC_RETURN_IF_ERROR(SyncNumrecs(im.header.numrecs, /*collective=*/true));
@@ -1058,17 +1052,12 @@ pnc::Status Dataset::MoveExternal(int varid,
     offs.push_back(r.offset);
     lens.push_back(r.len);
   }
-  // Pattern profiler: this call's flattened extents, tagged per variable.
-  // Same virtual timestamps as the req scope above — recording never
-  // advances clocks.
-  PNC_IOSTAT_PATTERN_ACCESS(varname, is_write, collective, offs, lens);
+  // This call's flattened extents, tagged per variable for the pattern
+  // profiler.
+  PNC_PROBE(kAccess, .len = ext.size(), .write = is_write, .flag = collective,
+            .detail = varname.empty() ? "" : varname.data(),
+            .extents = regions);
   auto filetype = simmpi::Datatype::Hindexed(lens, offs, simmpi::ByteType());
-
-  PNC_IOSTAT_ADD(kNcDataCalls, 1);
-  if (is_write)
-    PNC_IOSTAT_ADD(kNcDataBytesWritten, ext.size());
-  else
-    PNC_IOSTAT_ADD(kNcDataBytesRead, ext.size());
 
   pnc::Status io;
   if (collective) {
@@ -1344,27 +1333,25 @@ pnc::Status Dataset::BatchAccess(std::span<BatchItem> items, bool is_write) {
 
   // Combined filetype + staging buffer in file order.
   std::vector<std::uint64_t> lens, offs;
+  std::vector<pnc::Extent> exts;
   lens.reserve(pieces.size());
   offs.reserve(pieces.size());
+  exts.reserve(pieces.size());
   std::vector<std::byte> staging(total);
   std::uint64_t pos = 0;
   for (const auto& p : pieces) {
     offs.push_back(p.ext.offset);
     lens.push_back(p.ext.len);
+    exts.push_back(p.ext);
     if (is_write) std::memcpy(staging.data() + pos, p.data, p.ext.len);
     pos += p.ext.len;
   }
   if (is_write && total > 0) clk.Advance(im.comm.cost().CopyCost(total));
-  // Pattern profiler: the coalesced nonblocking batch as one access — the
-  // merged extent list is exactly what wait_all hands the I/O engine.
-  PNC_IOSTAT_PATTERN_ACCESS("*batch", is_write, true, offs, lens);
+  // The coalesced nonblocking batch as one access — the merged extent list
+  // is exactly what wait_all hands the I/O engine.
+  PNC_PROBE(kAccess, .len = total, .write = is_write, .flag = true,
+            .detail = "*batch", .extents = exts);
   auto filetype = simmpi::Datatype::Hindexed(lens, offs, simmpi::ByteType());
-
-  PNC_IOSTAT_ADD(kNcDataCalls, 1);
-  if (is_write)
-    PNC_IOSTAT_ADD(kNcDataBytesWritten, total);
-  else
-    PNC_IOSTAT_ADD(kNcDataBytesRead, total);
 
   PNC_RETURN_IF_ERROR(Track(im, im.file.SetView(0, simmpi::ByteType(),
                                                 filetype)));

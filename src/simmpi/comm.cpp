@@ -172,8 +172,8 @@ void Comm::CrashSelf() {
   // Record while the request binding is still live: the crash event carries
   // the in-flight request ID, which is how ncstat --blackbox attributes a
   // dead rank's last act to the originating API call.
-  PNC_IOSTAT_EVENT(kRankCrash, clock().now(), 0,
-                   state_->rfault.ops[world_rank_], 0, nullptr);
+  PNC_PROBE(kRankCrash, .t_begin = clock().now(),
+            .aux = state_->rfault.ops[world_rank_]);
   {
     std::lock_guard<std::mutex> lk(state_->rfault.mu);
     ++state_->rfault.counters.crashes;
@@ -207,8 +207,8 @@ void Comm::SendInternal(int dst, int tag, pnc::ConstByteSpan data) {
   if (state_->rfault.armed) {
     auto& rf = state_->rfault;
     if (cost_factor != 1.0) {
-      PNC_IOSTAT_EVENT(kRankStraggle, clk.now(), 0, data.size(),
-                       static_cast<std::uint64_t>(members_[dst]), nullptr);
+      PNC_PROBE(kRankStraggle, .server = members_[dst], .len = data.size(),
+                .t_begin = clk.now());
       std::lock_guard<std::mutex> lk(rf.mu);
       ++rf.counters.straggled_sends;
     }
@@ -224,8 +224,8 @@ void Comm::SendInternal(int dst, int tag, pnc::ConstByteSpan data) {
       drop = rng.NextDouble() < rf.policy.drop_prob;
     }
     if (drop) {
-      PNC_IOSTAT_EVENT(kMsgDrop, clk.now(), 0, data.size(),
-                       static_cast<std::uint64_t>(members_[dst]), nullptr);
+      PNC_PROBE(kMsgDrop, .server = members_[dst], .len = data.size(),
+                .t_begin = clk.now());
       std::lock_guard<std::mutex> lk(rf.mu);
       ++rf.counters.dropped_messages;
       return;  // vanished in transit; the sender already paid its costs
@@ -662,9 +662,9 @@ AgreeOutcome Comm::AgreeFT(std::int64_t value) {
   }
   lk.unlock();
   clock().AdvanceTo(t_done);
-  PNC_IOSTAT_EVENT(kAgreement, clock().now(), t_done - t_arrive,
-                   static_cast<std::uint64_t>(out.alive.size()),
-                   out.any_dead ? 1 : 0, nullptr);
+  PNC_PROBE(kAgreement, .t_begin = clock().now(),
+            .wait_ns = t_done - t_arrive, .aux = out.alive.size(),
+            .flag = out.any_dead);
   return out;
 }
 

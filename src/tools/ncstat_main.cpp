@@ -46,7 +46,8 @@
 //   --op=write|read            measured operation (default write; read runs
 //                              a populating write first and resets counters)
 //   --json=PATH                also dump the report JSON ("-" = stdout)
-//   --trace=PATH               record spans, write a Chrome trace timeline
+//   --trace=PATH               write a Chrome trace timeline of the flight
+//                              recorder's retained tail
 //   --blackbox=PATH            dump the flight recorder (pnc-events-v1)
 //   --critpath                 print the critical-path decomposition of the
 //                              workload's collective ops
@@ -382,7 +383,7 @@ int RunMode(nctools::Cli& cli) {
       (op != "write" && op != "read"))
     return Usage();
   const bool indep = mode == "indep";
-  if (!trace.empty()) iostat::Registry::Get().SetSpansEnabled(true);
+  if (!trace.empty()) iostat::FlightRecorder::Get().SetEnabled(true);
   // Both views need the bucketed sampler; --health without --timeline still
   // records (the verdict is computed from the buckets) but prints only the
   // verdict. SLO rules come from PNC_SLO (SloRulesFromEnv default:

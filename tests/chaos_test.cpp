@@ -485,8 +485,8 @@ TEST_F(ChaosTraceTest, StragglerEventRecorded) {
       },
       simmpi::CostModel{}, p);
   EXPECT_EQ(run.fault_counters.straggled_sends, 1u);
-  const Event* ev =
-      Find(FlightRecorder::Get().CollectRank(0), Ev::kRankStraggle);
+  const std::vector<Event> tail = FlightRecorder::Get().CollectRank(0);
+  const Event* ev = Find(tail, Ev::kRankStraggle);
   ASSERT_NE(ev, nullptr);
   EXPECT_EQ(ev->a0, 1u);  // payload bytes
   EXPECT_EQ(ev->a1, 1u);  // destination world rank
@@ -508,7 +508,8 @@ TEST_F(ChaosTraceTest, MessageDropRecorded) {
       },
       simmpi::CostModel{}, p);
   EXPECT_EQ(run.fault_counters.dropped_messages, 1u);
-  const Event* drop = Find(FlightRecorder::Get().CollectRank(0), Ev::kMsgDrop);
+  const std::vector<Event> tail = FlightRecorder::Get().CollectRank(0);
+  const Event* drop = Find(tail, Ev::kMsgDrop);
   ASSERT_NE(drop, nullptr);
   EXPECT_EQ(drop->a0, 1u);  // payload bytes
   EXPECT_EQ(drop->a1, 1u);  // destination world rank

@@ -13,8 +13,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <cstdio>
+#include <string>
+#include <vector>
 
+#include "iostat/events.hpp"
 #include "iostat/report.hpp"
 #include "iostat/trace.hpp"
 #include "mpiio/file.hpp"
@@ -28,6 +31,36 @@ using simmpi::Comm;
 
 std::uint64_t Sum(const iostat::Report& rep, Ctr c) { return rep[c].sum; }
 
+/// One "X" slice of the Chrome trace.
+struct Slice {
+  std::string name, cat;
+  double ts = 0, dur = 0;
+  int tid = 0;
+};
+
+/// Every rank-track (pid 0) "X" slice in a ToChromeTrace() document, in
+/// emission order.
+std::vector<Slice> XSlices(const std::string& trace) {
+  std::vector<Slice> out;
+  const std::string key = "\"ph\":\"X\"";
+  for (std::size_t at = trace.find(key); at != std::string::npos;
+       at = trace.find(key, at + 1)) {
+    char name[32], cat[32];
+    Slice s;
+    int pid = -1;
+    if (std::sscanf(trace.c_str() + trace.rfind('{', at),
+                    "{\"name\":\"%31[^\"]\",\"cat\":\"%31[^\"]\",\"ph\":\"X\","
+                    "\"ts\":%lf,\"dur\":%lf,\"pid\":%d,\"tid\":%d",
+                    name, cat, &s.ts, &s.dur, &pid, &s.tid) == 6 &&
+        pid == 0) {
+      s.name = name;
+      s.cat = cat;
+      out.push_back(s);
+    }
+  }
+  return out;
+}
+
 class IostatTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -36,12 +69,9 @@ class IostatTest : public ::testing::Test {
 #endif
     Registry::Get().Reset();
     Registry::Get().SetCountersEnabled(true);
-    Registry::Get().SetSpansEnabled(true);
+    iostat::FlightRecorder::Get().SetEnabled(true);
   }
-  void TearDown() override {
-    Registry::Get().SetSpansEnabled(false);
-    Registry::Get().Reset();
-  }
+  void TearDown() override { Registry::Get().Reset(); }
 };
 
 TEST_F(IostatTest, RegistryBindsRanksAndSumsCounters) {
@@ -118,17 +148,21 @@ TEST_F(IostatTest, FourRankTwoPhaseWriteExactCounters) {
   EXPECT_GT(Sum(rep, Ctr::kMpiioIoPhaseNs), 0u);
   EXPECT_LE(Sum(rep, Ctr::kMpiioBytesWritten), Sum(rep, Ctr::kPfsBytesWritten));
 
-  // Spans landed on aggregator timelines with the right categories.
-  bool saw_exchange = false, saw_io = false;
-  for (int r = 0; r < rep.nranks; ++r) {
-    for (const auto& s : Registry::Get().SpansOfRank(r)) {
-      if (std::strcmp(s.name, "exchange") == 0) saw_exchange = true;
-      if (std::strcmp(s.name, "io") == 0) saw_io = true;
-      EXPECT_GE(s.end_ns, s.start_ns);
-    }
+  // The Chrome trace draws both phases, from the ring's begin/end events,
+  // on every rank's track with the right category.
+  std::vector<int> exchange(4, 0), io(4, 0);
+  for (const Slice& s : XSlices(iostat::ToChromeTrace())) {
+    ASSERT_EQ(s.cat, "mpiio");
+    ASSERT_GE(s.tid, 0);
+    ASSERT_LT(s.tid, 4);
+    if (s.name == "exchange") ++exchange[static_cast<std::size_t>(s.tid)];
+    if (s.name == "io") ++io[static_cast<std::size_t>(s.tid)];
+    EXPECT_GE(s.dur, 0.0);
   }
-  EXPECT_TRUE(saw_exchange);
-  EXPECT_TRUE(saw_io);
+  for (int r = 0; r < 4; ++r) {
+    EXPECT_GE(exchange[static_cast<std::size_t>(r)], 1) << "rank " << r;
+    EXPECT_GE(io[static_cast<std::size_t>(r)], 1) << "rank " << r;
+  }
 }
 
 // ------------------------------------------- strided independent read
@@ -234,16 +268,21 @@ TEST_F(IostatTest, ParseRejectsGarbage) {
 TEST_F(IostatTest, ChromeTraceHasPerRankTracks) {
   simmpi::Run(2, [&](Comm& c) {
     const double t0 = c.clock().now();
+    PNC_PROBE(kXchgBegin, .t_begin = t0);
     c.clock().Advance(1000.0);
-    PNC_IOSTAT_SPAN("mpiio", "exchange", t0, c.clock().now());
+    PNC_PROBE(kXchgEnd, .t_begin = t0, .t_end = c.clock().now());
   });
   const std::string trace = iostat::ToChromeTrace();
   EXPECT_NE(trace.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(trace.find("\"ph\":\"M\""), std::string::npos);
-  EXPECT_NE(trace.find("\"tid\":0"), std::string::npos);
-  EXPECT_NE(trace.find("\"tid\":1"), std::string::npos);
-  EXPECT_NE(trace.find("\"name\":\"exchange\""), std::string::npos);
-  EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
+  // One exchange slice per rank track, drawn from the begin/end events.
+  const std::vector<Slice> xs = XSlices(trace);
+  ASSERT_EQ(xs.size(), 2u);
+  for (int r = 0; r < 2; ++r) {
+    EXPECT_EQ(xs[static_cast<std::size_t>(r)].name, "exchange");
+    EXPECT_EQ(xs[static_cast<std::size_t>(r)].tid, r);
+    EXPECT_DOUBLE_EQ(xs[static_cast<std::size_t>(r)].dur, 1.0);  // 1000 ns
+  }
 }
 
 TEST_F(IostatTest, PrettyPrintShowsLayerSections) {

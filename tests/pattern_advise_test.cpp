@@ -35,6 +35,11 @@ using iostat::PatternRegistry;
 using iostat::PatternSummary;
 using iostat::Recommendation;
 
+/// An extent list for the Record* calls (offset, length pairs).
+std::vector<pnc::Extent> Ext(std::initializer_list<pnc::Extent> e) {
+  return e;
+}
+
 class PatternTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -79,11 +84,11 @@ TEST_F(PatternTest, WithinCallClassification) {
   auto& pr = PatternRegistry::Get();
   // Regular: constant length, constant start-to-start stride -> strided.
   pr.RecordAccess("v", /*is_write=*/true, /*collective=*/true,
-                  {0, 32, 64, 96}, {8, 8, 8, 8});
+                  Ext({{0, 8}, {32, 8}, {64, 8}, {96, 8}}));
   // Irregular lengths -> random.
-  pr.RecordAccess("v", true, true, {0, 32, 64}, {8, 16, 8});
+  pr.RecordAccess("v", true, true, Ext({{0, 8}, {32, 16}, {64, 8}}));
   // Irregular strides -> random.
-  pr.RecordAccess("v", true, true, {0, 32, 100}, {8, 8, 8});
+  pr.RecordAccess("v", true, true, Ext({{0, 8}, {32, 8}, {100, 8}}));
   const PatternSummary s = pr.Snapshot();
   ASSERT_EQ(s.vars.size(), 1u);
   EXPECT_EQ(s.vars[0].var, "v");
@@ -100,11 +105,11 @@ TEST_F(PatternTest, CrossCallGapClassification) {
   auto& pr = PatternRegistry::Get();
   // Sequential single-extent calls: first call and gap-0 continuations are
   // contig; a repeated nonzero gap is strided; a changing gap is random.
-  pr.RecordAccess("seq", false, false, {0}, {64});     // first -> contig
-  pr.RecordAccess("seq", false, false, {64}, {64});    // gap 0 -> contig
-  pr.RecordAccess("seq", false, false, {256}, {64});   // first gap -> strided
-  pr.RecordAccess("seq", false, false, {448}, {64});   // same gap -> strided
-  pr.RecordAccess("seq", false, false, {4096}, {64});  // new gap -> random
+  pr.RecordAccess("seq", false, false, Ext({{0, 64}}));     // first: contig
+  pr.RecordAccess("seq", false, false, Ext({{64, 64}}));    // gap 0: contig
+  pr.RecordAccess("seq", false, false, Ext({{256, 64}}));   // 1st gap: strided
+  pr.RecordAccess("seq", false, false, Ext({{448, 64}}));   // same gap: strided
+  pr.RecordAccess("seq", false, false, Ext({{4096, 64}}));  // new gap: random
   const PatternSummary s = pr.Snapshot();
   ASSERT_EQ(s.vars.size(), 1u);
   EXPECT_EQ(s.vars[0].contig, 2u);
@@ -118,8 +123,8 @@ TEST_F(PatternTest, CrossCallGapClassification) {
 
 TEST_F(PatternTest, ReportJsonRoundTripsPatternExactly) {
   auto& pr = PatternRegistry::Get();
-  pr.RecordAccess("m", true, false, {0, 32, 64, 96}, {8, 8, 8, 8});
-  pr.RecordTwophasePre({{0, 4096}, {8192, 4096}});
+  pr.RecordAccess("m", true, false, Ext({{0, 8}, {32, 8}, {64, 8}, {96, 8}}));
+  pr.RecordTwophasePre(Ext({{0, 4096}, {8192, 4096}}));
   pr.RecordAggWindow(65536);
   pr.RecordSieveWindow(true, 1024, 8192, 0, true);
   pr.RecordSieveWindow(false, 512, 512, 0, false);
@@ -163,12 +168,14 @@ TEST_F(PatternTest, ReportJsonRoundTripsPatternExactly) {
 
 TEST_F(PatternTest, GateOffRecordsNothingAndOmitsJsonMember) {
   PatternRegistry::Get().SetEnabled(false);
-  // The macro surface is a no-op when the gate is off...
-  const std::vector<std::uint64_t> offs = {0, 64}, lens = {8, 8};
-  PNC_IOSTAT_PATTERN_ACCESS("gated", true, true, offs, lens);
-  PNC_IOSTAT_PATTERN_AGG(1234);
-  PNC_IOSTAT_PATTERN_SIEVE(true, 10, 20, 0, true);
-  PNC_IOSTAT_PATTERN_PFS(0, 0, 64, 0.0, 1.0, 1, 0.0);
+  // Probes leave the profiler untouched when its gate is off...
+  const std::vector<pnc::Extent> ext = {{0, 8}, {64, 8}};
+  PNC_PROBE(kAccess, .len = 16, .write = true, .flag = true,
+            .detail = "gated", .extents = ext);
+  PNC_PROBE(kAggWindow, .len = 1234);
+  PNC_PROBE(kSieveWindow, .offset = 0, .len = 10, .aux = 20, .write = true,
+            .flag = true);
+  PNC_PROBE(kPfsGrant, .len = 64, .t_end = 1.0, .aux = 1);
   const iostat::Report rep = iostat::BuildReport();
   EXPECT_FALSE(rep.pattern.present);
   // ...and an absent pattern keeps the report JSON free of the member, the

@@ -288,9 +288,10 @@ TEST_F(TraceTest, FourRankTwoPhaseTraceCarriesTimelineTracks) {
 
 TEST_F(TraceTest, EventsJsonRoundTripPreservesFields) {
   PNC_IOSTAT_BIND_RANK(0);
-  PNC_IOSTAT_EVENT(kPfsServer, 123.5, 800.25, (4096u << 8) | 3u, 77, "w");
-  PNC_IOSTAT_EVENT(kPfsFault, 1000, 0, 1, 0, "transient");
-  PNC_IOSTAT_EVENT(kXchgSend, 2000, 0, 5, 2, "needs \"escaping\"\n");
+  auto& fr = FlightRecorder::Get();
+  fr.Record(Ev::kPfsServer, 123.5, 800.25, (4096u << 8) | 3u, 77, "w");
+  fr.Record(Ev::kPfsFault, 1000, 0, 1, 0, "transient");
+  fr.Record(Ev::kXchgSend, 2000, 0, 5, 2, "needs \"escaping\"\n");
 
   const std::string json = iostat::EventsToJson("round-trip");
   auto parsed = iostat::ParseEventsJson(json);
@@ -341,7 +342,7 @@ TEST_F(TraceTest, RingKeepsTailAndCountsDrops) {
   const std::size_t cap = FlightRecorder::Get().capacity();
   const std::size_t total = cap + 16;
   for (std::size_t i = 0; i < total; ++i)
-    PNC_IOSTAT_EVENT(kIndep, static_cast<double>(i), 0, i, 0, nullptr);
+    PNC_PROBE(kIndep, .len = i, .t_begin = static_cast<double>(i));
   const std::vector<Event> tail = FlightRecorder::Get().CollectRank(0);
   ASSERT_EQ(tail.size(), cap);
   // Oldest retained is the (total - cap + 1)-th recorded; newest is the last.
@@ -367,7 +368,8 @@ TEST_F(TraceTest, HangWatchdogDumpsEveryRanksTail) {
             [](Comm& c) {
               // Every rank leaves a fingerprint in its ring before rank 0
               // deadlocks waiting for a message rank 1 never sends.
-              PNC_IOSTAT_EVENT(kIndep, c.clock().now(), 0, 64, 1, "pre-hang");
+              FlightRecorder::Get().Record(Ev::kIndep, c.clock().now(), 0,
+                                           64, 1, "pre-hang");
               if (c.rank() == 0) (void)c.Recv(/*src=*/1, /*tag=*/7);
             },
             cm);
@@ -525,7 +527,7 @@ TEST_F(TraceTest, TransientFaultAndRetryEventsCarryRequestAndVariable) {
 TEST_F(TraceTest, DisabledRecorderRecordsNothing) {
   PNC_IOSTAT_BIND_RANK(0);
   FlightRecorder::Get().SetEnabled(false);
-  PNC_IOSTAT_EVENT(kIndep, 1.0, 0, 1, 1, nullptr);
+  PNC_PROBE(kIndep, .len = 1, .t_begin = 1.0, .write = true);
   FlightRecorder::Get().SetEnabled(true);
   EXPECT_EQ(FlightRecorder::Get().RecordedCount(0), 0u);
   EXPECT_TRUE(FlightRecorder::Get().CollectRank(0).empty());
