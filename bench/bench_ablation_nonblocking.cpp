@@ -41,9 +41,10 @@ Outcome RunOne(int nvars, bool aggregated, const simmpi::Info& info) {
         const int x = ds.DefDim("x", kX).value();
         std::vector<int> vars;
         for (int v = 0; v < nvars; ++v)
-          vars.push_back(ds.DefVar("r" + std::to_string(v),
-                                   ncformat::NcType::kDouble, {t, x})
-                             .value());
+          vars.push_back(
+              ds.DefVar(std::string("r").append(std::to_string(v)),
+                        ncformat::NcType::kDouble, {t, x})
+                  .value());
         (void)ds.EndDef();
         fs.ResetStats();
 

@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark): datatype construction/flattening and
 // pack/unpack throughput — the CPU-side costs of the flexible API and the
-// file-view machinery — plus the per-event cost of the iostat hooks in both
+// file-view machinery — CRC-32 throughput and the checksum-combine step,
+// plus the per-event cost of the iostat hooks in both
 // runtime states (the disabled path must be a load+branch, nothing more).
 #include <benchmark/benchmark.h>
 
@@ -11,6 +12,7 @@
 #include "bench/registry.hpp"
 #include "iostat/events.hpp"
 #include "simmpi/datatype.hpp"
+#include "util/crc32.hpp"
 
 namespace {
 
@@ -88,6 +90,33 @@ void BM_ContiguousPackIsMemcpySpeed(benchmark::State& state) {
 }
 BENCHMARK(BM_ContiguousPackIsMemcpySpeed);
 
+// The checksum every write records and every verified read recomputes:
+// slicing-by-8 CRC-32 over one page, one default 64 KiB sum chunk, and one
+// 4 MiB collective buffer (bytes/s; ns/byte = 1e9 / bytes_per_second).
+void BM_Crc32(benchmark::State& state) {
+  std::vector<std::byte> buf(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t i = 0; i < buf.size(); ++i)
+    buf[i] = static_cast<std::byte>(i * 131 + 7);
+  for (auto _ : state) benchmark::DoNotOptimize(pnc::Crc32(buf));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(4096)->Arg(65536)->Arg(4194304);
+
+// Merging two pieces of one chunk at a flush: the GF(2) shift past the
+// second piece's length, whatever that length is.
+void BM_Crc32Combine(benchmark::State& state) {
+  std::uint32_t a = 0x12345678u;
+  std::uint64_t len = 1;
+  for (auto _ : state) {
+    a = pnc::Crc32Combine(a, 0x9ABCDEF0u, len);
+    len = len * 3 % 65521 + 1;
+    benchmark::DoNotOptimize(a);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_Crc32Combine);
+
 // The iostat hot-path hook itself: Arg(0) measures PNC_IOSTAT_ADD with
 // counters disabled at runtime (the zero-overhead claim: one relaxed load
 // and a predictable branch), Arg(1) with counters enabled (one relaxed
@@ -159,8 +188,8 @@ int Run(const bench::Args& args, bench::Recorder& rec) {
   return bench::RunMicro(
       args, rec,
       "BM_SubarrayConstruct|BM_HindexedConstruct|BM_PackSubarray|"
-      "BM_UnpackSubarray|BM_ContiguousPackIsMemcpySpeed|BM_IostatCounterAdd|"
-      "BM_FlightRecorderEvent|BM_ProbeSite");
+      "BM_UnpackSubarray|BM_ContiguousPackIsMemcpySpeed|BM_Crc32|"
+      "BM_IostatCounterAdd|BM_FlightRecorderEvent|BM_ProbeSite");
 }
 
 const bench::BenchDef kBench{

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <tuple>
 
 #include "iostat/iostat.hpp"
 #include "util/crc32.hpp"
@@ -102,16 +103,138 @@ void ChunkSumMap::Set(std::uint64_t chunk, ChunkSum sum) {
 
 void ChunkSumMap::Clear() {
   entries_.clear();
-  dirty_.clear();
+  ClearDirty();
 }
 
-void ChunkSumMap::MarkDirtyRange(std::uint64_t offset, std::uint64_t len) {
+void ChunkSumMap::ClearDirty() {
+  dirty_.clear();
+  unsummed_.clear();
+  pieces_.clear();
+}
+
+void ChunkSumMap::RecordWrite(std::uint64_t offset, pnc::ConstByteSpan data,
+                              bool stored) {
+  const std::uint64_t end = offset + data.size();
+  if (chunk_size_ == 0 || end <= data_begin_) return;
+  std::uint64_t pos = std::max(offset, data_begin_);
+  while (pos < end) {
+    const std::uint64_t c = ChunkOf(pos);
+    const std::uint64_t off = pos - ChunkStart(c);
+    const std::uint64_t n = std::min(chunk_size_ - off, end - pos);
+    const std::uint32_t crc =
+        stored ? pnc::Crc32(data.subspan(pos - offset, n))
+               : pnc::Crc32Zeros(n);
+    dirty_.insert(c);
+    SumPiece* last = pieces_.empty() ? nullptr : &pieces_.back();
+    if (last != nullptr && last->chunk == c && last->off + last->len == off) {
+      last->crc = pnc::Crc32Combine(last->crc, crc, n);
+      last->len += static_cast<std::uint32_t>(n);
+    } else {
+      pieces_.push_back({c, static_cast<std::uint32_t>(off),
+                         static_cast<std::uint32_t>(n), crc});
+    }
+    pos += n;
+  }
+}
+
+void ChunkSumMap::MarkUnsummed(std::uint64_t offset, std::uint64_t len) {
   if (chunk_size_ == 0 || len == 0) return;
   const std::uint64_t end = offset + len;
   if (end <= data_begin_) return;  // header-region write
   const std::uint64_t begin = std::max(offset, data_begin_);
-  for (std::uint64_t c = ChunkOf(begin); c <= ChunkOf(end - 1); ++c)
+  for (std::uint64_t c = ChunkOf(begin); c <= ChunkOf(end - 1); ++c) {
     dirty_.insert(c);
+    unsummed_.insert(c);
+  }
+}
+
+std::vector<std::byte> ChunkSumMap::EncodePending() const {
+  std::vector<std::byte> b(8 + 8 * unsummed_.size() + 20 * pieces_.size());
+  std::byte* p = b.data();
+  const std::uint64_t n = unsummed_.size();
+  std::memcpy(p, &n, 8);
+  p += 8;
+  for (const std::uint64_t c : unsummed_) {
+    std::memcpy(p, &c, 8);
+    p += 8;
+  }
+  for (const SumPiece& pc : pieces_) {
+    std::memcpy(p, &pc.chunk, 8);
+    std::memcpy(p + 8, &pc.off, 4);
+    std::memcpy(p + 12, &pc.len, 4);
+    std::memcpy(p + 16, &pc.crc, 4);
+    p += 20;
+  }
+  return b;
+}
+
+void ChunkSumMap::DecodePending(pnc::ConstByteSpan blob,
+                                std::vector<SumPiece>* pieces,
+                                std::set<std::uint64_t>* unsummed) {
+  if (blob.size() < 8) return;
+  std::uint64_t n = 0;
+  std::memcpy(&n, blob.data(), 8);
+  std::size_t k = 8;
+  for (; n > 0 && k + 8 <= blob.size(); --n, k += 8) {
+    std::uint64_t c = 0;
+    std::memcpy(&c, blob.data() + k, 8);
+    unsummed->insert(c);
+  }
+  for (; k + 20 <= blob.size(); k += 20) {
+    SumPiece pc;
+    std::memcpy(&pc.chunk, blob.data() + k, 8);
+    std::memcpy(&pc.off, blob.data() + k + 8, 4);
+    std::memcpy(&pc.len, blob.data() + k + 12, 4);
+    std::memcpy(&pc.crc, blob.data() + k + 16, 4);
+    pieces->push_back(pc);
+  }
+}
+
+std::vector<std::uint64_t> ChunkSumMap::ResolvePieces(
+    std::vector<SumPiece> pieces, const std::set<std::uint64_t>& unsummed,
+    std::uint64_t file_size) {
+  std::sort(pieces.begin(), pieces.end(),
+            [](const SumPiece& a, const SumPiece& b) {
+              return std::tie(a.chunk, a.off, a.len) <
+                     std::tie(b.chunk, b.off, b.len);
+            });
+  std::set<std::uint64_t> chunks = unsummed;
+  for (const SumPiece& pc : pieces) chunks.insert(pc.chunk);
+  std::vector<std::uint64_t> reread;
+  auto it = pieces.begin();
+  for (const std::uint64_t c : chunks) {
+    const auto first = it;
+    while (it != pieces.end() && it->chunk == c) ++it;
+    const std::uint64_t cstart = ChunkStart(c);
+    if (cstart >= file_size) continue;
+    if (unsummed.count(c) != 0 || first == it) {
+      reread.push_back(c);
+      continue;
+    }
+    const std::uint64_t target = std::min(chunk_size_, file_size - cstart);
+    // Start from the committed sum when the pieces begin where it ends: the
+    // bytes it covers were not written this epoch (a write would be a
+    // piece overlapping them, or an unsummed mark).
+    std::uint64_t pos = 0;
+    std::uint32_t crc = 0;
+    ChunkSum prior;
+    if (first->off != 0 && Lookup(c, &prior) && prior.len == first->off) {
+      pos = prior.len;
+      crc = prior.crc;
+    }
+    auto p = first;
+    for (; p != it && p->off == pos; ++p) {
+      crc = pnc::Crc32Combine(crc, p->crc, p->len);
+      pos += p->len;
+    }
+    // Exact tiling: every piece consumed without a gap or an overlap
+    // (either stops the walk short), ending exactly at the summed extent.
+    if (p == it && pos == target)
+      Set(c, {static_cast<std::uint32_t>(target), crc});
+    else
+      reread.push_back(c);
+  }
+  return reread;
 }
 
 std::vector<std::byte> ChunkSumMap::EncodeTable() const {
@@ -159,9 +282,11 @@ pnc::Status FormatSums(CommitIo& io) {
 
 pnc::Status CommitSums(CommitIo& io, const ChunkSumMap& map, bool open,
                        SumsState* state) {
-  const std::vector<std::byte> table = map.EncodeTable();
-  if (auto st = io.Write(kSumsTableOffset, table); !st.ok()) return st;
-  if (auto st = io.Sync(); !st.ok()) return st;
+  std::vector<std::byte> table = map.EncodeTable();
+  if (table != state->table) {
+    if (auto st = io.Write(kSumsTableOffset, table); !st.ok()) return st;
+    if (auto st = io.Sync(); !st.ok()) return st;
+  }
   Slot s;
   s.seq = state->seq + 1;
   s.table_len = table.size();
@@ -172,6 +297,7 @@ pnc::Status CommitSums(CommitIo& io, const ChunkSumMap& map, bool open,
   if (auto st = io.Sync(); !st.ok()) return st;
   state->seq = s.seq;
   state->open = open;
+  state->table = std::move(table);
   return pnc::Status::Ok();
 }
 
@@ -198,6 +324,7 @@ pnc::Result<LoadedSums> LoadSums(CommitIo& io, int reread_attempts) {
     out.map = std::move(m).value();
     out.state.seq = slot->seq;
     out.state.open = (slot->flags & kSumsFlagOpen) != 0;
+    out.state.table = std::move(table);
     // An open sidecar is a crashed writable session: its sums may be
     // stale against data written after the last flush. Load the map (the
     // geometry is still right) but never trust it for verification.
@@ -205,6 +332,34 @@ pnc::Result<LoadedSums> LoadSums(CommitIo& io, int reread_attempts) {
     return out;
   }
   return LoadedSums{};  // persistent damage: every chunk unsummed
+}
+
+pnc::Status ResumChunks(ChunkSumMap& map,
+                        const std::vector<std::uint64_t>& chunks,
+                        std::uint64_t file_size, const RawRead& raw) {
+  const std::uint64_t csize = map.chunk_size();
+  std::vector<std::byte> buf;
+  for (std::size_t k = 0; k < chunks.size();) {
+    std::size_t e = k + 1;
+    while (e < chunks.size() && e - k < 64 && chunks[e] == chunks[e - 1] + 1)
+      ++e;
+    const std::uint64_t rstart = map.ChunkStart(chunks[k]);
+    if (rstart >= file_size) break;  // ascending: the rest is past EOF too
+    const std::uint64_t rlen = std::min<std::uint64_t>(
+        (chunks[e - 1] - chunks[k] + 1) * csize, file_size - rstart);
+    buf.resize(rlen);
+    if (auto st = raw(rstart, pnc::ByteSpan(buf)); !st.ok()) return st;
+    for (std::size_t j = k; j < e; ++j) {
+      const std::uint64_t off = (chunks[j] - chunks[k]) * csize;
+      if (off >= rlen) break;
+      const std::uint64_t clen = std::min<std::uint64_t>(csize, rlen - off);
+      map.Set(chunks[j],
+              {static_cast<std::uint32_t>(clen),
+               pnc::Crc32(pnc::ConstByteSpan(buf.data() + off, clen))});
+    }
+    k = e;
+  }
+  return pnc::Status::Ok();
 }
 
 // ------------------------------------------------------- verify-on-read

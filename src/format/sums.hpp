@@ -27,6 +27,34 @@
 // therefore leaves the sidecar open, and later readers distrust the (now
 // possibly stale) sums instead of flagging freshly written data as corrupt.
 //
+// Sums are computed from the bytes already in memory, never read back from
+// the medium. Every successful physical write goes through one hook per
+// library (mpiio's and the serial BufferedFile's RetryIo), which hands the
+// buffer it just wrote (a two-phase collective buffer, a sieved
+// read-modify-write window, or the contiguous user buffer) to
+// ChunkSumMap::RecordWrite. That splits the write at chunk boundaries and
+// keeps one piece {chunk, offset-in-chunk, len, crc} per part. At a flush
+// the pieces of every writer meet on one side (the root, in the parallel
+// library) and ResolvePieces folds each dirty chunk with Crc32Combine:
+//
+//   * pieces that tile [0, min(chunk_size, EOF - chunk_start)) exactly,
+//     with no overlap, give the chunk's sum without reading a byte;
+//   * so do pieces that tile [len, ..) after the chunk's committed sum of
+//     length `len` (a tail chunk extended by appends after a flush);
+//   * anything else — partial coverage, overlapping pieces (two writers,
+//     or one writer rewriting bytes), chunks marked unsummed by a failed
+//     write or a relayout — is the fallback: ResumChunks re-reads just
+//     those chunks, in chunk order, and sums the medium's bytes.
+//
+// A file system that stores nothing (pfs::Config::discard_data) reads back
+// zeros; a piece written there records the CRC of that many zero bytes
+// (Crc32Zeros), so the table still describes the medium. A write whose
+// stored payload is flipped on the way (bitflip_write_prob) is recorded
+// with the CRC of what the caller wrote, so a later verified read or scrub
+// reports the flip instead of vouching for it. A failed write may still
+// have stored a prefix (a short transfer before the error): it marks its
+// chunks unsummed, so they are re-read rather than keeping a stale sum.
+//
 // Verify-on-read (VerifyReadRange) recomputes the CRC of every committed,
 // non-dirty chunk a physical read touches, re-reading neighbouring bytes
 // through the caller-supplied raw-read callback. A mismatch is retried
@@ -74,10 +102,21 @@ struct ChunkSum {
   friend bool operator==(const ChunkSum&, const ChunkSum&) = default;
 };
 
+/// One in-memory checksum piece: the CRC of `len` bytes at `off` within
+/// chunk `chunk`, as written.
+struct SumPiece {
+  std::uint64_t chunk = 0;
+  std::uint32_t off = 0;
+  std::uint32_t len = 0;
+  std::uint32_t crc = 0;
+};
+
 /// The in-memory chunk map one session (rank) maintains: committed entries
-/// plus the set of chunks this rank has dirtied since the last flush.
-/// Dirty chunks are exempt from verification (their committed sum is
-/// stale by construction) and are exactly the set a flush must recompute.
+/// plus what this rank has done since the last flush — the chunks it
+/// dirtied, the pieces its writes recorded, and the chunks it could not
+/// record (unsummed). Dirty chunks are exempt from verification (their
+/// committed sum is stale by construction) and are exactly the set a flush
+/// must resolve.
 class ChunkSumMap {
  public:
   void SetGeometry(std::uint64_t chunk_size, std::uint64_t data_begin);
@@ -99,19 +138,47 @@ class ChunkSumMap {
     return entries_;
   }
   [[nodiscard]] bool empty() const { return entries_.empty(); }
-  /// Drop all entries and dirty marks (used when the data region moves
+  /// Drop all entries and pending state (used when the data region moves
   /// under a relayout — every old sum is meaningless at the new offsets).
   void Clear();
 
-  /// Mark every chunk overlapping file bytes [offset, offset+len) dirty.
-  /// Bytes below data_begin (header writes) are ignored.
-  void MarkDirtyRange(std::uint64_t offset, std::uint64_t len);
+  /// A write of `data` at file offset `offset` succeeded: mark its chunks
+  /// dirty and record one piece per chunk part. `stored` false means the
+  /// medium keeps no bytes (discard_data) and reads back zeros, so the
+  /// pieces sum zeros. A piece directly continuing this rank's previous
+  /// piece in the same chunk is combined into it. Bytes below data_begin
+  /// (header writes) are ignored.
+  void RecordWrite(std::uint64_t offset, pnc::ConstByteSpan data,
+                   bool stored);
+  /// Mark every chunk overlapping [offset, offset+len) dirty with no
+  /// piece, so the next flush re-reads it: a failed write that may have
+  /// stored a prefix, or existing data moved by a relayout.
+  void MarkUnsummed(std::uint64_t offset, std::uint64_t len);
   [[nodiscard]] bool IsDirty(std::uint64_t chunk) const {
     return dirty_.count(chunk) != 0;
   }
-  [[nodiscard]] const std::set<std::uint64_t>& dirty() const { return dirty_; }
-  void MarkDirtyChunk(std::uint64_t chunk) { dirty_.insert(chunk); }
-  void ClearDirty() { dirty_.clear(); }
+  [[nodiscard]] const std::vector<SumPiece>& pieces() const { return pieces_; }
+  [[nodiscard]] const std::set<std::uint64_t>& unsummed() const {
+    return unsummed_;
+  }
+  /// Forget the pending state after a flush (entries stay).
+  void ClearDirty();
+
+  /// This rank's pending state as a blob for the flush gather, and the
+  /// inverse (appending to `pieces` / `unsummed`).
+  [[nodiscard]] std::vector<std::byte> EncodePending() const;
+  static void DecodePending(pnc::ConstByteSpan blob,
+                            std::vector<SumPiece>* pieces,
+                            std::set<std::uint64_t>* unsummed);
+
+  /// Fold every writer's pending state into the entries. A chunk whose
+  /// pieces tile [0, min(chunk_size, file_size - start)) exactly — or tile
+  /// the rest of it after a committed sum — gets the combined CRC; the
+  /// returned chunks (ascending) need a read-back (ResumChunks). Chunks at
+  /// or past EOF keep their entry.
+  [[nodiscard]] std::vector<std::uint64_t> ResolvePieces(
+      std::vector<SumPiece> pieces, const std::set<std::uint64_t>& unsummed,
+      std::uint64_t file_size);
 
   /// Serialize / parse the table region (geometry + sparse entries).
   [[nodiscard]] std::vector<std::byte> EncodeTable() const;
@@ -123,12 +190,16 @@ class ChunkSumMap {
   std::uint64_t data_begin_ = 0;
   std::map<std::uint64_t, ChunkSum> entries_;
   std::set<std::uint64_t> dirty_;
+  std::set<std::uint64_t> unsummed_;
+  std::vector<SumPiece> pieces_;
 };
 
 /// The committed slot state a writer threads through successive commits.
 struct SumsState {
   std::uint64_t seq = 0;
   bool open = false;
+  /// The table bytes the committed slot describes (empty = none durable).
+  std::vector<std::byte> table;
 };
 
 /// (Re)initialize a sidecar: magic + zeroed slot. Called at dataset
@@ -137,7 +208,9 @@ struct SumsState {
 [[nodiscard]] pnc::Status FormatSums(CommitIo& io);
 
 /// Durably commit the map: table write, sync, slot write (the commit
-/// point), sync. `open` set leaves the session-open marker in place.
+/// point), sync. `open` set leaves the session-open marker in place. A
+/// table identical to the committed one is already durable, so only the
+/// slot is rewritten (the closing commit after a Sync's flush).
 [[nodiscard]] pnc::Status CommitSums(CommitIo& io, const ChunkSumMap& map,
                                      bool open, SumsState* state);
 
@@ -162,6 +235,14 @@ struct LoadedSums {
 /// (no recursion) but retain the caller's retry/cost discipline.
 using RawRead =
     std::function<pnc::Status(std::uint64_t offset, pnc::ByteSpan out)>;
+
+/// The flush fallback: re-sum `chunks` (ascending, from ResolvePieces)
+/// from the file bytes through `raw`, one request per run of adjacent
+/// chunks (at most 64 chunks each).
+[[nodiscard]] pnc::Status ResumChunks(ChunkSumMap& map,
+                                      const std::vector<std::uint64_t>& chunks,
+                                      std::uint64_t file_size,
+                                      const RawRead& raw);
 
 /// Verification telemetry, accumulated across calls by the owner.
 struct VerifyStats {

@@ -461,7 +461,7 @@ struct HyperslabCopier {
   bool pack = true;
   std::uint64_t calls = 0;
 
-  std::vector<std::uint64_t> mem_stride;  // in elements
+  std::vector<std::uint64_t> mem_stride{};  // in elements
 
   void Init() {
     mem_stride.assign(mem_dims.size(), 1);

@@ -97,12 +97,13 @@ class File {
   [[nodiscard]] int tenant() const;
 
   /// Attach a chunk-sum map (format/sums.hpp) owned by the caller (the
-  /// dataset layer), which must outlive the file. Writes then mark their
-  /// chunks dirty in the map; with `verify` set, every physical read —
-  /// independent, sieving (including RMW pre-reads), and two-phase
-  /// aggregator I/O — recomputes covered chunk CRCs, heals transient
-  /// mismatches by re-reading, and returns kDataCorrupt for persistent
-  /// ones. Pass nullptr to detach. Not collective.
+  /// dataset layer), which must outlive the file. Writes then record the
+  /// checksum pieces of the bytes they wrote in the map; with `verify`
+  /// set, every physical read — independent, sieving (including RMW
+  /// pre-reads), and two-phase aggregator I/O — recomputes covered chunk
+  /// CRCs, heals transient mismatches by re-reading, and returns
+  /// kDataCorrupt for persistent ones. Pass nullptr to detach. Not
+  /// collective.
   void AttachSums(ncformat::ChunkSumMap* sums, bool verify);
 
  private:

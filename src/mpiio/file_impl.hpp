@@ -28,7 +28,8 @@ struct File::Impl {
 
   /// Attached chunk-sum map (format/sums.hpp), owned by the dataset layer.
   /// Null = integrity machinery fully disarmed (PNC_SUMS=0 discipline).
-  /// When set, every successful physical write marks its chunks dirty;
+  /// When set, every successful physical write records the checksum
+  /// pieces of the buffer it wrote (a failed one marks its chunks unsummed);
   /// reads additionally verify when `sums_verify` is set (read-only
   /// sessions — a writable parallel session cannot verify, because peers'
   /// writes dirty chunks this rank has no way to know about).
@@ -40,9 +41,11 @@ struct File::Impl {
   /// transferred count and transient errors by bounded retry-with-backoff
   /// (charged to the virtual clock, counted in pfs::Stats). A transient
   /// error that survives the retry budget is reported as kIo. On top of
-  /// RawIo this maintains the attached chunk-sum map: dirty marking on
-  /// writes, verify/heal on reads (every read path — independent, sieving
-  /// windows, RMW pre-reads, and two-phase aggregator I/O — funnels here).
+  /// RawIo this maintains the attached chunk-sum map: checksum pieces from
+  /// the written buffer on writes (the two-phase collective buffer, the
+  /// sieved RMW window, or the contiguous user buffer), verify/heal on
+  /// reads (every read path — independent, sieving windows, RMW pre-reads,
+  /// and two-phase aggregator I/O — funnels here).
   pnc::Status RetryIo(bool is_write, std::uint64_t off, std::byte* data,
                       std::uint64_t len);
   /// The transfer itself, with no integrity hooks (verification re-reads

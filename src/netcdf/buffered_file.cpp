@@ -29,18 +29,29 @@ void BufferedFile::AttachSums(ncformat::ChunkSumMap* sums, bool verify) {
 pnc::Status BufferedFile::RetryIo(bool is_write, std::uint64_t offset,
                                   std::byte* data, std::uint64_t len) {
   pnc::Status st = RawIo(is_write, offset, data, len);
-  if (!st.ok() || sums_ == nullptr || len == 0) return st;
+  if (sums_ == nullptr || len == 0) return st;
   if (is_write) {
-    sums_->MarkDirtyRange(offset, len);
+    // A failed write may still have stored a prefix (a short transfer
+    // before the error): its chunks are re-read at the next flush.
+    if (st.ok())
+      sums_->RecordWrite(offset, pnc::ConstByteSpan(data, len),
+                         file_.stores_bytes());
+    else
+      sums_->MarkUnsummed(offset, len);
     return st;
   }
-  if (!sums_verify_) return st;
+  if (!st.ok() || !sums_verify_) return st;
   return ncformat::VerifyReadRange(
       *sums_, offset, pnc::ByteSpan(data, len), file_.size(),
       [this](std::uint64_t o, pnc::ByteSpan out) {
         return RawIo(/*is_write=*/false, o, out.data(), out.size());
       },
       std::max(1, retry_.max_attempts), clock_->now(), nullptr);
+}
+
+pnc::Status BufferedFile::ReadUncached(std::uint64_t offset,
+                                       pnc::ByteSpan out) {
+  return RawIo(/*is_write=*/false, offset, out.data(), out.size());
 }
 
 pnc::Status BufferedFile::RawIo(bool is_write, std::uint64_t offset,

@@ -44,13 +44,18 @@ class BufferedFile {
   [[nodiscard]] pnc::Status Sync();
 
   /// Attach a chunk-sum map (format/sums.hpp) owned by the caller, which
-  /// must outlive this file. Physical writes mark their chunks dirty;
-  /// with `verify` set, physical reads (block loads and large bypass
-  /// reads) recompute covered chunk CRCs, healing transient flips by
-  /// re-reading and returning kDataCorrupt for persistent damage. The
-  /// serial library is single-writer, so verify is safe in writable
-  /// sessions too (this rank's own writes are exactly the dirty set).
+  /// must outlive this file. Physical writes record the checksum pieces of
+  /// the bytes they wrote; with `verify` set, physical reads (block loads
+  /// and large bypass reads) recompute covered chunk CRCs, healing
+  /// transient flips by re-reading and returning kDataCorrupt for
+  /// persistent damage. The serial library is single-writer, so verify is
+  /// safe in writable sessions too (this rank's own writes are exactly the
+  /// dirty set).
   void AttachSums(ncformat::ChunkSumMap* sums, bool verify);
+  /// Read the medium's bytes past the block buffer and the integrity hooks
+  /// (the checksum flush's read-back of chunks it cannot sum in memory).
+  [[nodiscard]] pnc::Status ReadUncached(std::uint64_t offset,
+                                         pnc::ByteSpan out);
 
  private:
   pnc::Status LoadBlock(std::uint64_t block_start);

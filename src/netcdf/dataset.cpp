@@ -9,7 +9,6 @@
 #include "format/sums.hpp"
 #include "iostat/events.hpp"
 #include "iostat/iostat.hpp"
-#include "util/crc32.hpp"
 
 namespace netcdf {
 
@@ -75,26 +74,21 @@ std::uint64_t DataBeginOf(const Header& h) {
 
 }  // namespace
 
-/// Recompute every dirty chunk from the (durable) file bytes and commit the
-/// map through the `.ncsum` sidecar. `closing` clears the session-open
+/// Fold this session's checksum pieces into the map (format/sums.hpp:
+/// ResolvePieces), re-read only the chunks they do not tile, and commit
+/// the map through the `.ncsum` sidecar. `closing` clears the session-open
 /// marker, making the table trustworthy for later opens; a mid-session
 /// flush keeps it open so a later crash still degrades to "unsummed".
 pnc::Status Dataset::Impl::FlushSums(bool closing) {
   if (!sums_on || !sums_io) return pnc::Status::Ok();
   if (sums.chunk_size() != 0) {
     const std::uint64_t fsize = io.size();
-    std::vector<std::byte> buf;
-    for (const std::uint64_t c : sums.dirty()) {
-      const std::uint64_t cstart = sums.ChunkStart(c);
-      if (cstart >= fsize) continue;
-      const std::uint64_t clen =
-          std::min<std::uint64_t>(sums.chunk_size(), fsize - cstart);
-      buf.resize(clen);
-      PNC_RETURN_IF_ERROR(io.ReadAt(cstart, pnc::ByteSpan(buf.data(), clen)));
-      sums.Set(c, ncformat::ChunkSum{
-                      static_cast<std::uint32_t>(clen),
-                      pnc::Crc32(pnc::ConstByteSpan(buf.data(), clen))});
-    }
+    const std::vector<std::uint64_t> reread =
+        sums.ResolvePieces(sums.pieces(), sums.unsummed(), fsize);
+    PNC_RETURN_IF_ERROR(ncformat::ResumChunks(
+        sums, reread, fsize, [this](std::uint64_t o, pnc::ByteSpan out) {
+          return io.ReadUncached(o, out);
+        }));
     sums.ClearDirty();
   }
   return ncformat::CommitSums(*sums_io, sums, /*open=*/!closing, &sums_state);
@@ -268,9 +262,9 @@ pnc::Status Dataset::EndDef() {
     min_begin = im.pre_redef->data_begin();
   PNC_RETURN_IF_ERROR(im.header.ComputeLayout(min_begin));
   // Sum geometry follows the (possibly moved) data region. Set it before
-  // the moves/fills below so their writes mark chunks dirty in the new
+  // the moves/fills below so their writes record pieces in the new
   // geometry; when the region moved, every committed sum is stale, so
-  // re-sum all existing bytes at the next flush.
+  // re-read all existing bytes at the next flush.
   if (im.sums_on) {
     const std::uint64_t db = DataBeginOf(im.header);
     if (im.sums.chunk_size() == 0 || im.sums.data_begin() != db) {
@@ -280,7 +274,7 @@ pnc::Status Dataset::EndDef() {
       im.sums.Clear();
       im.sums.SetGeometry(cs, db);
       if (had_data && im.io.size() > db)
-        im.sums.MarkDirtyRange(db, im.io.size() - db);
+        im.sums.MarkUnsummed(db, im.io.size() - db);
     }
   }
   if (had_data && im.pre_redef) {

@@ -263,6 +263,8 @@ std::uint64_t File::size() const {
   return std::max(node_->store->size(), node_->discarded_size);
 }
 
+bool File::stores_bytes() const { return !fs_->cfg_.discard_data; }
+
 void File::Truncate(std::uint64_t new_size) {
   std::lock_guard<std::mutex> lk(node_->mu);
   node_->store->Truncate(new_size);

@@ -220,6 +220,9 @@ class File {
   IoResult TrySync(double start_ns);
 
   [[nodiscard]] std::uint64_t size() const;
+  /// False under Config::discard_data: writes keep no bytes and reads
+  /// return zeros.
+  [[nodiscard]] bool stores_bytes() const;
   void Truncate(std::uint64_t new_size);
   /// Flush: charges one request round-trip per server. Harness variant of
   /// TrySync (never fails).

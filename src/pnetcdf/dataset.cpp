@@ -9,7 +9,6 @@
 #include "format/sums.hpp"
 #include "iostat/events.hpp"
 #include "iostat/iostat.hpp"
-#include "util/crc32.hpp"
 
 namespace pnetcdf {
 
@@ -55,11 +54,11 @@ struct Dataset::Impl {
 
   // Data integrity (format/sums.hpp). Mirrors the journal: the sidecar
   // handle and committed state live on rank 0, `sums_on` is agreed on all
-  // ranks, and every rank holds an identical committed map plus its own
-  // dirty set. Verification is attached only for read-only opens: in a
-  // writable parallel session a peer's write invalidates chunks this rank
-  // cannot see, so inline verification would flag fresh peer data as
-  // corrupt. Writable sessions maintain the map only; scrub and later
+  // ranks, and every rank holds an identical committed map plus the
+  // checksum pieces of its own writes since the last flush. Verification
+  // is attached only for read-only opens: in a writable parallel session a
+  // peer's write invalidates chunks this rank cannot see, so inline
+  // verification would flag fresh peer data as corrupt. Writable sessions maintain the map only; scrub and later
   // read-only opens get the protection. Disabled under an armed rank-fault
   // schedule (the flush gather is not fault tolerant) — the sidecar then
   // stays session-open, i.e. untrusted, never wrong.
@@ -258,101 +257,36 @@ pnc::Status Dataset::Impl::SetupOpenSums(bool open_writable, bool root_torn) {
 }
 
 /// Root-committed sum flush. The data is already durable (callers sync
-/// first). The per-rank dirty sets are allgathered and unioned; each rank
-/// re-reads and checksums a round-robin stripe of the union (the recompute
-/// work is distributed instead of serializing on the root, though the
-/// reads take rank-ordered turns for virtual-time determinism — see the
-/// loop comment); the root merges the gathered entries and commits the table
-/// (still session-open unless closing), and the result is broadcast so
-/// every rank resumes from the identical committed map.
+/// first). Every rank's pending checksum pieces (and the chunks it could
+/// not sum) are gathered to the root, which folds them into the committed
+/// map (format/sums.hpp: ResolvePieces), re-reads only the chunks the
+/// pieces do not tile — alone and in chunk order, so no read depends on
+/// thread scheduling — and commits the table (still session-open unless
+/// closing). The result is broadcast so every rank resumes from the
+/// identical committed map.
 pnc::Status Dataset::Impl::FlushSums(bool closing) {
   if (!sums_on || !writable) return pnc::Status::Ok();
-  std::vector<std::byte> local(sums.dirty().size() * 8);
-  std::size_t i = 0;
-  for (const std::uint64_t c : sums.dirty()) {
-    std::memcpy(local.data() + i * 8, &c, 8);
-    ++i;
-  }
-  auto all = comm.Allgather(pnc::ConstByteSpan(local.data(), local.size()));
-  std::set<std::uint64_t> dirty;
-  for (const auto& blob : all) {
-    for (std::size_t k = 0; k + 8 <= blob.size(); k += 8) {
-      std::uint64_t c = 0;
-      std::memcpy(&c, blob.data() + k, 8);
-      dirty.insert(c);
-    }
-  }
+  const std::vector<std::byte> pending = sums.EncodePending();
+  auto gathered = comm.Gather(pnc::ConstByteSpan(pending), 0);
   file.ClearView();
-  pnc::Status rst = pnc::Status::Ok();
-  std::vector<std::byte> entries;
-  if (sums.chunk_size() != 0 && !dirty.empty()) {
-    const std::uint64_t fsize =
-        file.GetSize().ok() ? file.GetSize().value() : 0;
-    const std::uint64_t csize = sums.chunk_size();
-    // This rank's contiguous slice of the sorted union; runs of adjacent
-    // chunks are fetched in one large read (capped at 64 chunks) so the
-    // recompute I/O looks like the striped data I/O, not 64 KiB nibbles.
-    const std::vector<std::uint64_t> du(dirty.begin(), dirty.end());
-    const std::size_t P = static_cast<std::size_t>(comm.size());
-    const std::size_t r = static_cast<std::size_t>(comm.rank());
-    const std::size_t lo = du.size() * r / P;
-    const std::size_t hi = du.size() * (r + 1) / P;
-    std::vector<std::byte> buf;
-    // Rank-ordered turns: the recompute reads are distributed across ranks
-    // but must not hit the pfs server queues concurrently — ServeRequest
-    // updates server_next_free_ in real-time arrival order, so racing
-    // ranks would make the virtual makespan depend on thread scheduling
-    // (the same reason the smoke suite pins cb_nodes=1).
-    for (int turn = 0; turn < comm.size(); ++turn) {
-      if (turn == comm.rank()) {
-        std::size_t k = lo;
-        while (k < hi && rst.ok()) {
-          std::size_t e = k + 1;
-          while (e < hi && e - k < 64 && du[e] == du[e - 1] + 1) ++e;
-          const std::uint64_t rstart = sums.ChunkStart(du[k]);
-          if (rstart >= fsize) break;  // du sorted: the rest is past EOF too
-          const std::uint64_t rlen =
-              std::min<std::uint64_t>((du[e - 1] - du[k] + 1) * csize,
-                                      fsize - rstart);
-          buf.resize(rlen);
-          rst = file.ReadAt(rstart, buf.data(), rlen, simmpi::ByteType());
-          if (!rst.ok()) break;
-          for (std::size_t j = k; j < e; ++j) {
-            const std::uint64_t off = (du[j] - du[k]) * csize;
-            if (off >= rlen) break;
-            const std::uint64_t clen =
-                std::min<std::uint64_t>(csize, rlen - off);
-            const std::uint32_t len32 = static_cast<std::uint32_t>(clen);
-            const std::uint32_t crc =
-                pnc::Crc32(pnc::ConstByteSpan(buf.data() + off, clen));
-            const std::size_t at = entries.size();
-            entries.resize(at + 16);
-            std::memcpy(entries.data() + at, &du[j], 8);
-            std::memcpy(entries.data() + at + 8, &len32, 4);
-            std::memcpy(entries.data() + at + 12, &crc, 4);
-          }
-          k = e;
-        }
-      }
-      comm.Barrier();
-    }
-  }
-  auto gathered =
-      comm.Gather(pnc::ConstByteSpan(entries.data(), entries.size()), 0);
-  int err = comm.AllreduceMin(rst.raw());
-  if (comm.rank() == 0 && err == 0) {
+  int err = 0;
+  if (comm.rank() == 0) {
+    std::vector<ncformat::SumPiece> pieces;
+    std::set<std::uint64_t> unsummed;
+    for (const auto& blob : gathered)
+      ncformat::ChunkSumMap::DecodePending(blob, &pieces, &unsummed);
     pnc::Status st = pnc::Status::Ok();
-    for (const auto& blob : gathered) {
-      for (std::size_t k = 0; k + 16 <= blob.size(); k += 16) {
-        std::uint64_t c = 0;
-        std::uint32_t len32 = 0, crc = 0;
-        std::memcpy(&c, blob.data() + k, 8);
-        std::memcpy(&len32, blob.data() + k + 8, 4);
-        std::memcpy(&crc, blob.data() + k + 12, 4);
-        sums.Set(c, ncformat::ChunkSum{len32, crc});
-      }
+    if (sums.chunk_size() != 0) {
+      const std::uint64_t fsize =
+          file.GetSize().ok() ? file.GetSize().value() : 0;
+      const std::vector<std::uint64_t> reread =
+          sums.ResolvePieces(std::move(pieces), unsummed, fsize);
+      st = ncformat::ResumChunks(
+          sums, reread, fsize, [this](std::uint64_t o, pnc::ByteSpan out) {
+            return file.ReadAt(o, out.data(), out.size(), simmpi::ByteType());
+          });
     }
-    if (sums_io)
+    if (st.ok() && sums_io)
       st = ncformat::CommitSums(*sums_io, sums, /*open=*/!closing,
                                 &sums_state);
     err = st.raw();
@@ -679,9 +613,9 @@ pnc::Status Dataset::EndDef() {
   }
 
   // Sum geometry follows the (possibly moved) data region; set it before
-  // the relayout below so its writes mark chunks dirty in the new geometry.
+  // the relayout below so its writes record pieces in the new geometry.
   // When the region moved, every committed sum is stale: the root marks all
-  // existing data dirty so the next flush re-sums it.
+  // existing data unsummed so the next flush re-reads it.
   if (im.sums_on) {
     const std::uint64_t db = DataBeginOf(im.header);
     if (im.sums.chunk_size() == 0 || im.sums.data_begin() != db) {
@@ -693,7 +627,7 @@ pnc::Status Dataset::EndDef() {
       if (!im.fresh && im.comm.rank() == 0) {
         const std::uint64_t fsize =
             im.file.GetSize().ok() ? im.file.GetSize().value() : 0;
-        if (fsize > db) im.sums.MarkDirtyRange(db, fsize - db);
+        if (fsize > db) im.sums.MarkUnsummed(db, fsize - db);
       }
     }
   }
@@ -966,6 +900,9 @@ int Dataset::nvars() const { return static_cast<int>(impl_->header.vars.size());
 int Dataset::ngatts() const { return static_cast<int>(impl_->header.gatts.size()); }
 int Dataset::unlimdim() const { return impl_->header.unlimited_dimid(); }
 std::uint64_t Dataset::numrecs() const { return impl_->header.numrecs; }
+const ncformat::ChunkSumMap* Dataset::sums() const {
+  return impl_->sums_on ? &impl_->sums : nullptr;
+}
 
 pnc::Result<int> Dataset::DimId(const std::string& name) const {
   const int id = impl_->header.FindDim(name);
@@ -1403,40 +1340,21 @@ pnc::Status Dataset::RelayoutParallel(const Header& old_header) {
     }
   }
   // Destinations strictly grow, so moving the highest destination first is
-  // clobber-free; within a chunk each rank moves a disjoint slice, and a
-  // barrier between chunks orders cross-chunk dependences. This is the
+  // clobber-free; within a move each rank moves a disjoint slice, and the
+  // agreements below order the reads, the writes and the next move. This is the
   // "moving the existing data to the extended area is performed in parallel"
   // of §4.3.
   std::sort(moves.begin(), moves.end(),
             [](const Move& a, const Move& b) { return a.to > b.to; });
 
   im.file.ClearView();
-  std::vector<std::byte> buf;
-  for (const auto& m : moves) {
-    // Each move ends in a status agreement (a collective, so it also orders
-    // cross-chunk dependences the way the old barrier did). A rank-local
-    // I/O failure therefore surfaces identically on all ranks instead of
-    // leaving peers stuck in a barrier the failed rank never reaches.
-    pnc::Status st;
-    if (m.to != m.from && m.len != 0) {
-      if (m.to < m.from) {
-        st = pnc::Status(pnc::Err::kInternal, "relayout moved data backwards");
-      } else {
-        const std::uint64_t per = (m.len + static_cast<std::uint64_t>(p) - 1) /
-                                  static_cast<std::uint64_t>(p);
-        const std::uint64_t lo =
-            std::min(m.len, per * static_cast<std::uint64_t>(r));
-        const std::uint64_t hi = std::min(m.len, lo + per);
-        if (hi > lo) {
-          buf.resize(hi - lo);
-          st = im.file.ReadAt(m.from + lo, buf.data(), hi - lo,
-                              simmpi::ByteType());
-          if (st.ok())
-            st = im.file.WriteAt(m.to + lo, buf.data(), hi - lo,
-                                 simmpi::ByteType());
-        }
-      }
-    }
+  // Each phase ends in a status agreement, so a rank-local I/O failure
+  // surfaces identically on all ranks instead of leaving peers stuck in a
+  // collective the failed rank never reaches. The agreement after the reads
+  // is also what makes a move safe: every slice of the source is read before
+  // any rank writes, since a destination less than one slice past its
+  // source overlaps the next rank's unread slice.
+  const auto agree = [&](const pnc::Status& st) -> pnc::Status {
     int agreed;
     if (im.comm.FaultsArmed()) {
       std::int64_t mn = 0;
@@ -1445,11 +1363,29 @@ pnc::Status Dataset::RelayoutParallel(const Header& old_header) {
     } else {
       agreed = im.comm.AllreduceMin(st.raw());
     }
-    if (agreed != 0)
-      return st.raw() == agreed
-                 ? st
-                 : pnc::Status(static_cast<pnc::Err>(agreed),
-                               "relayout failed on a peer rank");
+    if (agreed == 0) return pnc::Status::Ok();
+    return st.raw() == agreed ? st
+                              : pnc::Status(static_cast<pnc::Err>(agreed),
+                                            "relayout failed on a peer rank");
+  };
+  std::vector<std::byte> buf;
+  for (const auto& m : moves) {
+    if (m.to == m.from || m.len == 0) continue;
+    if (m.to < m.from)
+      return agree(
+          pnc::Status(pnc::Err::kInternal, "relayout moved data backwards"));
+    const std::uint64_t per =
+        (m.len + static_cast<std::uint64_t>(p) - 1) / static_cast<std::uint64_t>(p);
+    const std::uint64_t lo = std::min(m.len, per * static_cast<std::uint64_t>(r));
+    const std::uint64_t hi = std::min(m.len, lo + per);
+    buf.resize(hi - lo);
+    pnc::Status st;
+    if (hi > lo)
+      st = im.file.ReadAt(m.from + lo, buf.data(), hi - lo, simmpi::ByteType());
+    PNC_RETURN_IF_ERROR(agree(st));
+    if (hi > lo)
+      st = im.file.WriteAt(m.to + lo, buf.data(), hi - lo, simmpi::ByteType());
+    PNC_RETURN_IF_ERROR(agree(st));
   }
   return pnc::Status::Ok();
 }

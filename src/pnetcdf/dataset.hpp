@@ -28,6 +28,7 @@
 #include "format/convert.hpp"
 #include "format/header.hpp"
 #include "format/layout.hpp"
+#include "format/sums.hpp"
 #include "mpiio/file.hpp"
 #include "pfs/pfs.hpp"
 #include "simmpi/comm.hpp"
@@ -98,6 +99,9 @@ class Dataset {
   [[nodiscard]] int ngatts() const;
   [[nodiscard]] int unlimdim() const;
   [[nodiscard]] std::uint64_t numrecs() const;
+  /// The chunk-checksum map as last committed (identical on every rank
+  /// after Sync/Close); null when checksums are off for this dataset.
+  [[nodiscard]] const ncformat::ChunkSumMap* sums() const;
   pnc::Result<int> DimId(const std::string& name) const;
   pnc::Result<int> VarId(const std::string& name) const;
 

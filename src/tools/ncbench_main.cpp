@@ -103,7 +103,9 @@ std::string SuiteHeaderLine(const bench::Suite& suite,
               "\",\"args\":[";
     for (std::size_t j = 0; j < suite.entries[i].args.size(); ++j) {
       if (j) config += ",";
-      config += "\"" + JsonEscape(suite.entries[i].args[j]) + "\"";
+      config += '"';
+      config += JsonEscape(suite.entries[i].args[j]);
+      config += '"';
     }
     config += "]}";
   }

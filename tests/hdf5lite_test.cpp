@@ -198,7 +198,9 @@ TEST(Overhead, WriteTouchesMetadata) {
     ASSERT_TRUE(ds.Write(st, ct, d.data()).ok());
     c.Barrier();
     // 2 data writes (one per rank) + at least 1 metadata write from rank 0.
-    if (c.rank() == 0) EXPECT_GT(fs.stats().write_requests, before + 2);
+    if (c.rank() == 0) {
+      EXPECT_GT(fs.stats().write_requests, before + 2);
+    }
     ASSERT_TRUE(ds.Close().ok());
     ASSERT_TRUE(f.Close().ok());
   });

@@ -11,8 +11,6 @@
 // PNC_SUMS=0 determinism guard.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,31 +28,9 @@
 namespace {
 
 using ncformat::NcType;
+using pnc_test::EnvGuard;
+using pnc_test::FileBytes;
 using simmpi::Comm;
-
-/// RAII environment override; restores the previous value on scope exit.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    if (const char* old = ::getenv(name)) old_ = old;
-    if (value)
-      ::setenv(name, value, 1);
-    else
-      ::unsetenv(name);
-  }
-  ~EnvGuard() {
-    if (old_)
-      ::setenv(name_, old_->c_str(), 1);
-    else
-      ::unsetenv(name_);
-  }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-
- private:
-  const char* name_;
-  std::optional<std::string> old_;
-};
 
 /// Decode `path`'s header through the harness (fault-free) read path.
 ncformat::Header HeaderOf(pfs::FileSystem& fs, const std::string& path) {
@@ -79,14 +55,6 @@ std::uint64_t DataBegin(pfs::FileSystem& fs, const std::string& path) {
   return db;
 }
 
-/// Whole primary file via the harness path (never fault-injected).
-std::vector<std::byte> FileBytes(pfs::FileSystem& fs,
-                                 const std::string& path) {
-  auto f = fs.Open(path).value();
-  std::vector<std::byte> b(f.size());
-  if (!b.empty()) f.HarnessRead(0, b, 0.0);
-  return b;
-}
 
 /// Flip every bit of the byte at `offset` (guaranteed to change it).
 void FlipByteAt(pfs::FileSystem& fs, const std::string& path,
@@ -501,6 +469,123 @@ TEST(Integrity, ScrubWithoutSidecarReportsUnsummed) {
   EXPECT_EQ(s.corrupt, 0u);
   EXPECT_EQ(s.clean, 0u);
   EXPECT_GT(s.unsummed, 0u);
+}
+
+// ------------------------------------------ failed and flipped writes
+
+/// The scrub must find no chunk whose committed sum disagrees with the
+/// medium: every chunk is clean or unsummed.
+void ExpectNoStaleSum(pfs::FileSystem& fs, const std::string& path) {
+  auto v = nctools::VerifyFile(fs, path, {.repair = false, .data = true});
+  ASSERT_TRUE(v.ok()) << v.status().message();
+  ASSERT_TRUE(v.value().scrub.has_value());
+  EXPECT_TRUE(v.value().scrub->trusted);
+  EXPECT_EQ(v.value().scrub->corrupt, 0u) << "a chunk kept its stale sum";
+}
+
+/// Short transfer, then a permanent fault on the resumed attempt: the
+/// write fails after its prefix reached the medium.
+pfs::FaultPolicy ShortThenPermanent() {
+  pfs::FaultPolicy pol;
+  pol.short_write_prob = 1.0;
+  pol.permanent_ops = {1};
+  return pol;
+}
+
+// A serial write that fails after a short transfer stored a prefix: the
+// flush must re-sum those chunks from the medium (or leave them unsummed),
+// so a later read-only open never reports the new prefix as corruption.
+TEST(Integrity, SerialFailedShortWriteNeverKeepsStaleSum) {
+  constexpr std::uint64_t kN = 3 << 20;     // 3 MiB of bytes
+  constexpr std::uint64_t kW = 1 << 20;     // one unbuffered 1 MiB write
+  constexpr std::uint64_t kAt = 300 * 1024;  // not chunk aligned
+  pfs::FileSystem fs;
+  MakePatternFile(fs, "w.nc", kN);
+  const std::uint64_t db = DataBegin(fs, "w.nc");
+  {
+    auto ds = netcdf::Dataset::Open(fs, "w.nc", true).value();
+    const std::vector<signed char> fresh(kW, 77);
+    fs.SetFaultPolicy(ShortThenPermanent());
+    const std::uint64_t st[] = {kAt}, ct[] = {kW};
+    EXPECT_FALSE(ds.PutVara<signed char>(0, st, ct, fresh).ok());
+    fs.SetFaultPolicy({});
+    ASSERT_TRUE(ds.Close().ok());
+  }
+  ASSERT_EQ(fs.stats().short_writes, 1u);
+  ASSERT_EQ(pnc_test::ByteAt(fs, "w.nc", db + kAt), std::byte{77})
+      << "the short prefix never reached the medium";
+  ExpectNoStaleSum(fs, "w.nc");
+  auto rd = netcdf::Dataset::Open(fs, "w.nc", false).value();
+  std::vector<signed char> all(kN);
+  EXPECT_TRUE(rd.GetVar<signed char>(0, all).ok());
+  EXPECT_TRUE(rd.Close().ok());
+}
+
+// The same through the parallel library's write hook: rank 0's independent
+// write fails after its prefix landed; the root re-reads those chunks.
+TEST(Integrity, ParallelFailedShortWriteNeverKeepsStaleSum) {
+  pfs::FileSystem fs;
+  CreateGrid(fs);
+  const std::uint64_t db = DataBegin(fs, "g.nc");
+  constexpr std::uint64_t kRow0 = 37, kNRows = 100;
+  simmpi::Run(kRanks, [&](Comm& c) {
+    auto ds = pnetcdf::Dataset::Open(c, fs, "g.nc", true, simmpi::NullInfo())
+                  .value();
+    ASSERT_TRUE(ds.BeginIndepData().ok());
+    c.Barrier();
+    if (c.rank() == 0) {
+      const std::vector<signed char> fresh(kNRows * kCols, 77);
+      fs.SetFaultPolicy(ShortThenPermanent());
+      const std::uint64_t st[] = {kRow0, 0}, ct[] = {kNRows, kCols};
+      EXPECT_FALSE(ds.PutVara<signed char>(0, st, ct, fresh).ok());
+      fs.SetFaultPolicy({});
+    }
+    c.Barrier();
+    ASSERT_TRUE(ds.EndIndepData().ok());
+    ASSERT_TRUE(ds.Close().ok());
+  });
+  ASSERT_EQ(fs.stats().short_writes, 1u);
+  ASSERT_EQ(pnc_test::ByteAt(fs, "g.nc", db + kRow0 * kCols), std::byte{77})
+      << "the short prefix never reached the medium";
+  ExpectNoStaleSum(fs, "g.nc");
+  simmpi::Run(kRanks, [&](Comm& c) {
+    auto ds = pnetcdf::Dataset::Open(c, fs, "g.nc", false, simmpi::NullInfo())
+                  .value();
+    std::vector<signed char> all(kRows * kCols);
+    const std::uint64_t st[] = {0, 0}, ct[] = {kRows, kCols};
+    EXPECT_TRUE(ds.GetVaraAll<signed char>(0, st, ct, all).ok());
+    EXPECT_TRUE(ds.Close().ok());
+  });
+}
+
+// Sums describe what the caller wrote, not what the medium kept: a flip
+// injected into a write's stored payload is reported by the scrub and by a
+// verified read, instead of being summed into a clean-looking table.
+TEST(Integrity, WriteSideFlipIsReported) {
+  constexpr std::uint64_t kN = 2 << 20;
+  pfs::FileSystem fs;
+  {
+    auto ds = netcdf::Dataset::Create(fs, "f.nc").value();
+    const int x = ds.DefDim("x", kN).value();
+    const int v = ds.DefVar("d", NcType::kByte, {x}).value();
+    ASSERT_TRUE(ds.EndDef().ok());
+    std::vector<signed char> vals(kN);
+    for (std::uint64_t i = 0; i < kN; ++i) vals[i] = PatternAt(i);
+    pfs::FaultPolicy pol;
+    pol.bitflip_write_prob = 1.0;
+    fs.SetFaultPolicy(pol);  // only the unbuffered data writes are armed
+    ASSERT_TRUE(ds.PutVar<signed char>(v, vals).ok());
+    fs.SetFaultPolicy({});
+    ASSERT_TRUE(ds.Close().ok());
+  }
+  ASSERT_GT(fs.stats().write_bitflips, 0u);
+  auto v = nctools::VerifyFile(fs, "f.nc", {.repair = false, .data = true});
+  ASSERT_TRUE(v.ok()) << v.status().message();
+  ASSERT_TRUE(v.value().scrub.has_value());
+  EXPECT_EQ(v.value().scrub->corrupt, fs.stats().write_bitflips);
+  auto rd = netcdf::Dataset::Open(fs, "f.nc", false).value();
+  std::vector<signed char> all(kN);
+  EXPECT_EQ(rd.GetVar<signed char>(0, all).code(), pnc::Err::kDataCorrupt);
 }
 
 // ------------------------------------------------- determinism guard

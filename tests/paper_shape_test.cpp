@@ -1,12 +1,15 @@
-// Paper-shape regression tests: small, fast versions of the Figure 6 claims
-// asserted as orderings (not absolute numbers), so a cost-model or algorithm
-// regression that would bend the reproduced curves fails CI, not just the
-// benchmark reader's eye.
+// Paper-shape regression tests: small, fast versions of the Figure 6 and 7
+// claims asserted as orderings and ratios (not absolute numbers), so a
+// cost-model or algorithm regression that would bend the reproduced curves
+// fails CI, not just the benchmark reader's eye. Every run uses the default
+// configuration — checksums on — so integrity overhead counts against the
+// claims too.
 #include <gtest/gtest.h>
 
 #include <numeric>
 
 #include "bench/platforms.hpp"
+#include "flash/flash.hpp"
 #include "netcdf/dataset.hpp"
 #include "pnetcdf/dataset.hpp"
 #include "simmpi/runtime.hpp"
@@ -39,9 +42,16 @@ double SerialTime(bool is_write) {
   return ds.clock().now() - t0;
 }
 
+/// Figure 6's own array: tt(256,256,128) doubles, 64 MiB.
+constexpr std::uint64_t kFig6Dims[3] = {256, 256, 128};
+
 /// Virtual seconds for the same access via PnetCDF with a given partition
-/// axis (0 = Z slabs, 2 = X columns) and process count.
-double ParallelTime(int nprocs, int axis, bool is_write) {
+/// axis (0 = Z slabs, 2 = X columns) and process count, on the miniature
+/// array unless `dims` names another.
+double ParallelTime(int nprocs, int axis, bool is_write,
+                    const std::uint64_t* dims = nullptr) {
+  static constexpr std::uint64_t kMini[3] = {kZ, kY, kX};
+  if (dims == nullptr) dims = kMini;
   pfs::Config pcfg = bench::SdscBlueHorizon();
   pcfg.discard_data = true;
   pfs::FileSystem fs(pcfg);
@@ -51,14 +61,14 @@ double ParallelTime(int nprocs, int axis, bool is_write) {
       [&](Comm& c) {
         auto ds = pnetcdf::Dataset::Create(c, fs, "t.nc", simmpi::NullInfo())
                       .value();
-        const int zd = ds.DefDim("z", kZ).value();
-        const int yd = ds.DefDim("y", kY).value();
-        const int xd = ds.DefDim("x", kX).value();
+        const int zd = ds.DefDim("z", dims[0]).value();
+        const int yd = ds.DefDim("y", dims[1]).value();
+        const int xd = ds.DefDim("x", dims[2]).value();
         const int v =
             ds.DefVar("tt", ncformat::NcType::kDouble, {zd, yd, xd}).value();
         ASSERT_TRUE(ds.EndDef().ok());
         std::uint64_t start[3] = {0, 0, 0};
-        std::uint64_t count[3] = {kZ, kY, kX};
+        std::uint64_t count[3] = {dims[0], dims[1], dims[2]};
         count[static_cast<std::size_t>(axis)] /= static_cast<std::uint64_t>(nprocs);
         start[static_cast<std::size_t>(axis)] =
             count[static_cast<std::size_t>(axis)] *
@@ -116,6 +126,57 @@ TEST(PaperShape, CollectiveCushionsPartitionDifferences) {
   const double tz = ParallelTime(4, 0, true);
   const double tx = ParallelTime(4, 2, true);
   EXPECT_LT(tx / tz, 2.0);
+}
+
+TEST(PaperShape, Fig6WriteScalesPastTwiceSerialProcess) {
+  // Figure 6: aggregate write bandwidth keeps growing with the process
+  // count until the fixed server pool saturates; 16 processes move the
+  // 64 MiB array at least twice as fast as 1.
+  const double t1 = ParallelTime(1, 0, true, kFig6Dims);
+  const double t16 = ParallelTime(16, 0, true, kFig6Dims);
+  EXPECT_GE(t1 / t16, 2.0) << "1 proc " << t1 << " ns, 16 procs " << t16;
+}
+
+/// Aggregate MB/s of a FLASH 8^3 checkpoint on the Figure 7 platform.
+double FlashCheckpointMBps(int nprocs, bool use_pnetcdf) {
+  pfs::Config pcfg = bench::AsciFrost();
+  pcfg.discard_data = true;
+  pfs::FileSystem fs(pcfg);
+  const flashio::FlashConfig cfg;  // 8^3 blocks, 80 per process
+  const double bytes = static_cast<double>(
+      flashio::BytesPerProc(cfg, flashio::FileKind::kCheckpoint) *
+      static_cast<std::uint64_t>(nprocs));
+  double mbps = 0.0;
+  simmpi::Run(
+      nprocs,
+      [&](Comm& c) {
+        const flashio::FlashData data(cfg, c.rank());
+        c.SyncClocksToMax();
+        const double t0 = c.clock().now();
+        const auto kind = flashio::FileKind::kCheckpoint;
+        ASSERT_TRUE((use_pnetcdf ? flashio::WriteFlashPnetcdf(
+                                       c, fs, "f.out", data, kind,
+                                       simmpi::NullInfo())
+                                 : flashio::WriteFlashHdf5lite(
+                                       c, fs, "f.out", data, kind,
+                                       simmpi::NullInfo()))
+                        .ok());
+        c.SyncClocksToMax();
+        if (c.rank() == 0) mbps = bytes / (c.clock().now() - t0) * 1e3;
+      },
+      bench::Sp2Cost());
+  return mbps;
+}
+
+TEST(PaperShape, Fig7PnetcdfMoreThanDoublesHdf5) {
+  // Figure 7: on the FLASH checkpoint "PnetCDF ... more than doubles" the
+  // parallel HDF5 bandwidth.
+  for (const int np : {4, 16}) {
+    const double pnc = FlashCheckpointMBps(np, true);
+    const double h5 = FlashCheckpointMBps(np, false);
+    EXPECT_GE(pnc, 2.0 * h5) << np << " procs: PnetCDF " << pnc
+                             << " MB/s, hdf5lite " << h5 << " MB/s";
+  }
 }
 
 }  // namespace

@@ -154,7 +154,9 @@ TEST(Nonblocking, RecordVariablesAggregateAcrossRecords) {
                           .ok());
         }
       }
-      if (combined) ASSERT_TRUE(q.WaitAll().ok());
+      if (combined) {
+        ASSERT_TRUE(q.WaitAll().ok());
+      }
       EXPECT_EQ(ds.numrecs(), 2u);
       ASSERT_TRUE(ds.Close().ok());
 

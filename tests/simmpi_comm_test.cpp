@@ -178,8 +178,9 @@ TEST_P(CollectiveP, ReduceByteFold) {
       std::memcpy(a.data(), &x, 4);
     };
     c.Reduce(pnc::ByteSpan(reinterpret_cast<std::byte*>(&v), 4), orfn, 0);
-    if (c.rank() == 0)
+    if (c.rank() == 0) {
       EXPECT_EQ(v, (c.size() >= 32 ? ~0u : (1u << c.size()) - 1));
+    }
   });
 }
 
@@ -189,9 +190,10 @@ TEST_P(CollectiveP, AllAgree) {
     EXPECT_TRUE(c.AllAgree(
         pnc::ConstByteSpan(reinterpret_cast<std::byte*>(&same), 4)));
     int diff = c.rank() == 0 ? 1 : 2;
-    if (c.size() > 1)
+    if (c.size() > 1) {
       EXPECT_FALSE(c.AllAgree(
           pnc::ConstByteSpan(reinterpret_cast<std::byte*>(&diff), 4)));
+    }
   });
 }
 

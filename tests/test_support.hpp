@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -103,6 +105,39 @@ inline std::byte ByteAt(pfs::FileSystem& fs, const std::string& path,
   auto f = fs.Open(path).value();
   std::byte b{};
   f.HarnessRead(offset, pnc::ByteSpan(&b, 1), 0.0);
+  return b;
+}
+
+/// RAII environment override; restores the previous value on scope exit.
+class EnvGuard {
+ public:
+  EnvGuard(const char* name, const char* value) : name_(name) {
+    if (const char* old = ::getenv(name)) old_ = old;
+    if (value)
+      ::setenv(name, value, 1);
+    else
+      ::unsetenv(name);
+  }
+  ~EnvGuard() {
+    if (old_)
+      ::setenv(name_, old_->c_str(), 1);
+    else
+      ::unsetenv(name_);
+  }
+  EnvGuard(const EnvGuard&) = delete;
+  EnvGuard& operator=(const EnvGuard&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+/// Whole file via the harness path (never fault-injected).
+inline std::vector<std::byte> FileBytes(pfs::FileSystem& fs,
+                                        const std::string& path) {
+  auto f = fs.Open(path).value();
+  std::vector<std::byte> b(f.size());
+  if (!b.empty()) f.HarnessRead(0, b, 0.0);
   return b;
 }
 
