@@ -35,22 +35,13 @@ double RunOne(unsigned mask, bool cb_enabled, const bench::Args& args) {
             ds.DefVar("u", ncformat::NcType::kDouble, {zd, yd, xd}).value();
         (void)ds.EndDef();
 
-        int f[3];
-        bench::Decompose(nprocs, mask, f);
         const std::uint64_t dims[3] = {kZ, kY, kX};
-        std::uint64_t start[3], count[3];
-        int rem = comm.rank();
-        for (int d = 2; d >= 0; --d) {
-          const int coord = rem % f[d];
-          rem /= f[d];
-          count[d] = dims[d] / static_cast<std::uint64_t>(f[d]);
-          start[d] = count[d] * static_cast<std::uint64_t>(coord);
-        }
-        std::vector<double> mine(count[0] * count[1] * count[2], 1.0);
+        const bench::Block b = bench::RankBlock(nprocs, mask, comm.rank(), dims);
+        std::vector<double> mine(b.elems(), 1.0);
 
         comm.SyncClocksToMax();
         const double t0 = comm.clock().now();
-        (void)ds.PutVaraAll<double>(v, start, count, mine);
+        (void)ds.PutVaraAll<double>(v, b.start, b.count, mine);
         comm.SyncClocksToMax();
         if (comm.rank() == 0) ms = (comm.clock().now() - t0) / 1e6;
         (void)ds.Close();

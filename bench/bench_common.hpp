@@ -1,6 +1,7 @@
 // Shared helpers for the paper-figure benchmark drivers.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -106,20 +107,61 @@ inline constexpr Partition kPartitions[] = {
     {"ZX", 5u}, {"YX", 6u}, {"ZYX", 7u},
 };
 
-/// Factor `nprocs` across the set axes of `mask` (powers of two), returning
-/// per-axis process counts for a 3-D decomposition.
+/// Factor `nprocs` across the set axes of `mask`, returning per-axis process
+/// counts for a 3-D decomposition: the prime factors, smallest first, go to
+/// the set axes in turn (so a power of two halves the axes round-robin).
 inline void Decompose(int nprocs, unsigned mask, int factors[3]) {
   factors[0] = factors[1] = factors[2] = 1;
   std::vector<int> axes;
   for (int d = 0; d < 3; ++d)
     if (mask & (1u << d)) axes.push_back(d);
-  int rem = nprocs;
   std::size_t i = 0;
-  while (rem > 1) {
-    factors[axes[i % axes.size()]] *= 2;
-    rem /= 2;
-    ++i;
+  for (int rem = nprocs, p = 2; rem > 1;) {
+    if (rem % p != 0) {
+      ++p;
+      continue;
+    }
+    factors[axes[i++ % axes.size()]] *= p;
+    rem /= p;
   }
+}
+
+/// One rank's subarray of a dims[3] array (Z, Y, X) under partition `mask`.
+struct Block {
+  std::uint64_t start[3] = {0, 0, 0};
+  std::uint64_t count[3] = {0, 0, 0};
+  [[nodiscard]] std::uint64_t elems() const {
+    return count[0] * count[1] * count[2];
+  }
+};
+
+/// Rank `rank`'s block (X varies fastest across ranks). An axis that does
+/// not divide evenly gives its remainder to the low coordinates, one
+/// element each, so the blocks of all ranks cover every element exactly
+/// once; a rank past an axis's length gets an empty block.
+inline Block RankBlock(int nprocs, unsigned mask, int rank,
+                       const std::uint64_t dims[3]) {
+  int f[3];
+  Decompose(nprocs, mask, f);
+  Block b;
+  for (int d = 2; d >= 0; --d) {
+    const auto coord = static_cast<std::uint64_t>(rank % f[d]);
+    rank /= f[d];
+    const std::uint64_t base = dims[d] / static_cast<std::uint64_t>(f[d]);
+    const std::uint64_t extra = dims[d] % static_cast<std::uint64_t>(f[d]);
+    b.count[d] = base + (coord < extra ? 1 : 0);
+    b.start[d] = coord * base + std::min(coord, extra);
+  }
+  return b;
+}
+
+/// Elements the blocks of all `nprocs` ranks cover: what a run actually
+/// moves, computed locally (no message) for its bandwidth figure.
+inline std::uint64_t CoveredElems(int nprocs, unsigned mask,
+                                  const std::uint64_t dims[3]) {
+  std::uint64_t n = 0;
+  for (int r = 0; r < nprocs; ++r) n += RankBlock(nprocs, mask, r, dims).elems();
+  return n;
 }
 
 /// Parse a comma-separated process-count list ("1,4,16"); keeps `def` when

@@ -10,6 +10,7 @@
 // Usage: bench_fig6_scalability [--size=64mb|1gb|all] [--op=read|write|all]
 //                               [--procs=1,2,4,8,16] [--quick]
 //                               [--hints=k=v,...] [--json=BENCH_fig6.json]
+#include <atomic>
 #include <cstdio>
 #include <numeric>
 
@@ -23,7 +24,6 @@
 namespace {
 
 using bench::Args;
-using bench::Decompose;
 using bench::kPartitions;
 using bench::MBps;
 
@@ -35,7 +35,8 @@ struct Case {
 
 /// Serial netCDF baseline: one process reads/writes the whole array through
 /// the serial library (in Z-slabs, as the original Fortran test code does).
-double RunSerial(const Case& cse, bool is_write) {
+/// A failed run reports its status instead of a bandwidth.
+pnc::Result<double> RunSerial(const Case& cse, bool is_write) {
   pfs::Config pcfg = bench::SdscBlueHorizon();
   pcfg.discard_data = true;
   pfs::FileSystem fs(pcfg);
@@ -46,7 +47,7 @@ double RunSerial(const Case& cse, bool is_write) {
   const int yd = ds.DefDim("latitude", cse.y).value();
   const int xd = ds.DefDim("longitude", cse.x).value();
   const int v = ds.DefVar("tt", ncformat::NcType::kDouble, {zd, yd, xd}).value();
-  if (!ds.EndDef().ok()) return 0.0;
+  PNC_RETURN_IF_ERROR(ds.EndDef());
 
   const std::uint64_t slabs = std::min<std::uint64_t>(cse.z, 8);
   const std::uint64_t zper = cse.z / slabs;
@@ -57,9 +58,9 @@ double RunSerial(const Case& cse, bool is_write) {
     for (std::uint64_t s = 0; s < slabs; ++s) {
       const std::uint64_t st[] = {s * zper, 0, 0};
       const std::uint64_t ct[] = {zper, cse.y, cse.x};
-      if (!ds.PutVara<double>(v, st, ct, buf).ok()) return 0.0;
+      PNC_RETURN_IF_ERROR(ds.PutVara<double>(v, st, ct, buf));
     }
-    if (!ds.Sync().ok()) return 0.0;
+    PNC_RETURN_IF_ERROR(ds.Sync());
     return MBps(total_bytes, ds.clock().now() - t0);
   }
   // Read benchmark: file contents already "exist" (sizes known); time reads.
@@ -67,19 +68,28 @@ double RunSerial(const Case& cse, bool is_write) {
   for (std::uint64_t s = 0; s < slabs; ++s) {
     const std::uint64_t st[] = {s * zper, 0, 0};
     const std::uint64_t ct[] = {zper, cse.y, cse.x};
-    if (!ds.GetVara<double>(v, st, ct, buf).ok()) return 0.0;
+    PNC_RETURN_IF_ERROR(ds.GetVara<double>(v, st, ct, buf));
   }
   return MBps(total_bytes, ds.clock().now() - t0);
 }
 
-/// PnetCDF collective access with the given partition.
-double RunParallel(const Case& cse, unsigned mask, int nprocs, bool is_write,
-                   const simmpi::Info& info) {
+/// PnetCDF collective access with the given partition. Bandwidth counts
+/// the bytes the ranks' blocks cover; a failed run reports the first
+/// failing rank's status instead.
+pnc::Result<double> RunParallel(const Case& cse, unsigned mask, int nprocs,
+                                bool is_write, const simmpi::Info& info) {
   pfs::Config pcfg = bench::SdscBlueHorizon();
   pcfg.discard_data = true;
   pfs::FileSystem fs(pcfg);
-  const std::uint64_t total_bytes = cse.z * cse.y * cse.x * 8;
+  const std::uint64_t dims[3] = {cse.z, cse.y, cse.x};
+  const std::uint64_t covered_bytes =
+      bench::CoveredElems(nprocs, mask, dims) * 8;
   double bw = 0.0;
+  std::atomic<int> err{0};
+  const auto fail = [&err](const pnc::Status& st) {
+    int none = 0;
+    err.compare_exchange_strong(none, st.raw());
+  };
 
   simmpi::Run(
       nprocs,
@@ -90,45 +100,35 @@ double RunParallel(const Case& cse, unsigned mask, int nprocs, bool is_write,
         const int xd = ds.DefDim("longitude", cse.x).value();
         const int v =
             ds.DefVar("tt", ncformat::NcType::kDouble, {zd, yd, xd}).value();
-        if (!ds.EndDef().ok()) return;
+        pnc::Status st = ds.EndDef();
+        if (!st.ok()) return fail(st);
 
-        int f[3];
-        Decompose(nprocs, mask, f);
-        const std::uint64_t dims[3] = {cse.z, cse.y, cse.x};
-        std::uint64_t start[3], count[3];
-        int rem = comm.rank();
-        for (int d = 2; d >= 0; --d) {
-          const int coord = rem % f[d];
-          rem /= f[d];
-          count[d] = dims[d] / static_cast<std::uint64_t>(f[d]);
-          start[d] = count[d] * static_cast<std::uint64_t>(coord);
-        }
-        std::vector<double> mine(count[0] * count[1] * count[2], 2.5);
+        const bench::Block b = bench::RankBlock(nprocs, mask, comm.rank(), dims);
+        std::vector<double> mine(b.elems(), 2.5);
 
+        comm.SyncClocksToMax();
+        const double t0 = comm.clock().now();
         if (is_write) {
-          comm.SyncClocksToMax();
-          const double t0 = comm.clock().now();
-          if (!ds.PutVaraAll<double>(v, start, count, mine).ok()) return;
-          if (!ds.Sync().ok()) return;
-          comm.SyncClocksToMax();
-          if (comm.rank() == 0)
-            bw = MBps(total_bytes, comm.clock().now() - t0);
+          st = ds.PutVaraAll<double>(v, b.start, b.count, mine);
+          if (st.ok()) st = ds.Sync();
         } else {
-          comm.SyncClocksToMax();
-          const double t0 = comm.clock().now();
-          if (!ds.GetVaraAll<double>(v, start, count, mine).ok()) return;
-          comm.SyncClocksToMax();
-          if (comm.rank() == 0)
-            bw = MBps(total_bytes, comm.clock().now() - t0);
+          st = ds.GetVaraAll<double>(v, b.start, b.count, mine);
         }
+        if (!st.ok()) return fail(st);
+        comm.SyncClocksToMax();
+        if (comm.rank() == 0)
+          bw = MBps(covered_bytes, comm.clock().now() - t0);
         (void)ds.Close();
       },
       bench::Sp2Cost());
+  if (err.load() != 0)
+    return pnc::Status(static_cast<pnc::Err>(err.load()), "fig6 run");
   return bw;
 }
 
-void RunChart(const Case& cse, bool is_write, bench::Recorder& rec,
-              const simmpi::Info& info) {
+/// One chart; a failed run stops the sweep with its status (nonzero).
+int RunChart(const Case& cse, bool is_write, bench::Recorder& rec,
+             const simmpi::Info& info) {
   std::printf("\n=== Figure 6: %s %s ===\n", is_write ? "Write" : "Read",
               cse.label);
   std::printf("(bandwidth in MB/s; first column is the serial netCDF "
@@ -138,8 +138,15 @@ void RunChart(const Case& cse, bool is_write, bench::Recorder& rec,
   std::printf("\n");
 
   const char* op = is_write ? "write" : "read";
+  const auto failed = [](const pnc::Status& st, const char* what, int np) {
+    std::fprintf(stderr, "\nfig6: %s run at %d procs failed: %s (%d)\n",
+                 what, np, st.message().c_str(), st.raw());
+    return 1;
+  };
   rec.BeginConfig();
-  const double serial_bw = RunSerial(cse, is_write);
+  const auto serial = RunSerial(cse, is_write);
+  if (!serial.ok()) return failed(serial.status(), "serial", 1);
+  const double serial_bw = serial.value();
   rec.EndConfig(bench::JsonObj()
                     .Str("op", op)
                     .Str("case", cse.label)
@@ -155,7 +162,9 @@ void RunChart(const Case& cse, bool is_write, bench::Recorder& rec,
     }
     for (const auto& p : kPartitions) {
       rec.BeginConfig();
-      const double bw = RunParallel(cse, p.mask, np, is_write, info);
+      const auto run = RunParallel(cse, p.mask, np, is_write, info);
+      if (!run.ok()) return failed(run.status(), p.name, np);
+      const double bw = run.value();
       rec.EndConfig(bench::JsonObj()
                         .Str("op", op)
                         .Str("case", cse.label)
@@ -168,6 +177,7 @@ void RunChart(const Case& cse, bool is_write, bench::Recorder& rec,
     first = false;
   }
   std::fflush(stdout);
+  return 0;
 }
 
 int Run(const Args& args, bench::Recorder& rec) {
@@ -198,9 +208,11 @@ int Run(const Args& args, bench::Recorder& rec) {
               "striping)\n");
   for (const auto& cse : cases) {
     if (op == "write" || op == "all")
-      RunChart(cse, /*is_write=*/true, rec, info);
+      if (const int rc = RunChart(cse, /*is_write=*/true, rec, info); rc != 0)
+        return rc;
     if (op == "read" || op == "all")
-      RunChart(cse, /*is_write=*/false, rec, info);
+      if (const int rc = RunChart(cse, /*is_write=*/false, rec, info); rc != 0)
+        return rc;
   }
   return 0;
 }

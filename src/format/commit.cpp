@@ -250,4 +250,20 @@ pnc::Status RepairFromReport(const VerifyReport& report, CommitIo& primary) {
   }
 }
 
+pnc::Result<OpenRecovery> RecoverAtOpen(CommitIo& journal, CommitIo& primary,
+                                        bool writable) {
+  PNC_ASSIGN_OR_RETURN(VerifyReport r, AnalyzeCommit(journal, primary));
+  OpenRecovery out;
+  if (r.has_commit) out.commit = r.committed;
+  if (r.state == FileState::kCorrupt && r.has_commit)
+    return pnc::Status(pnc::Err::kNotNc, "unrecoverable: " + r.detail);
+  if (r.state == FileState::kTornRecoverable) {
+    if (writable)
+      PNC_RETURN_IF_ERROR(RepairFromReport(r, primary));
+    else
+      out.recovered = std::move(r.committed_header);
+  }
+  return out;
+}
+
 }  // namespace ncformat

@@ -132,4 +132,20 @@ struct VerifyReport {
 [[nodiscard]] pnc::Status RepairFromReport(const VerifyReport& report,
                                            CommitIo& primary);
 
+/// What opening a journaled dataset decided: the committed state, if any,
+/// and — for a torn primary opened read-only — the committed header image
+/// the session must use in memory instead of the on-disk one.
+struct OpenRecovery {
+  std::optional<CommitState> commit;
+  std::vector<std::byte> recovered;  ///< empty unless torn and read-only
+};
+
+/// The crash-recovery rule at open, shared by both libraries (the parallel
+/// root applies it before broadcasting the header): a primary that matches
+/// nothing committed is kNotNc; a torn one is rolled back/forward in place
+/// when `writable`, and only in memory otherwise.
+[[nodiscard]] pnc::Result<OpenRecovery> RecoverAtOpen(CommitIo& journal,
+                                                      CommitIo& primary,
+                                                      bool writable);
+
 }  // namespace ncformat

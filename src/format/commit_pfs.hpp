@@ -10,6 +10,8 @@
 // the data path — which is the whole point of committing through it.
 #pragma once
 
+#include <memory>
+#include <string>
 #include <utility>
 
 #include "format/commit.hpp"
@@ -26,11 +28,11 @@ class PfsCommitIo final : public CommitIo {
         retry_(pnc::util::ResolveRetryPolicy(rank)) {}
 
   pnc::Status Read(std::uint64_t offset, pnc::ByteSpan out) override {
-    return RetryIo(/*is_write=*/false, offset, out.data(), out.size());
+    return Transfer(/*is_write=*/false, offset, out.data(), out.size());
   }
   pnc::Status Write(std::uint64_t offset, pnc::ConstByteSpan data) override {
-    return RetryIo(/*is_write=*/true, offset,
-                   const_cast<std::byte*>(data.data()), data.size());
+    return Transfer(/*is_write=*/true, offset,
+                    const_cast<std::byte*>(data.data()), data.size());
   }
   pnc::Status Sync() override {
     return pnc::util::RetrySyncWithBackoff(
@@ -39,9 +41,13 @@ class PfsCommitIo final : public CommitIo {
   }
   std::uint64_t Size() override { return file_.size(); }
 
- private:
-  pnc::Status RetryIo(bool is_write, std::uint64_t offset, std::byte* data,
-                      std::uint64_t len) {
+  [[nodiscard]] pfs::File& file() { return file_; }
+  [[nodiscard]] const pnc::util::RetryPolicy& retry() const { return retry_; }
+
+  /// One transfer in either direction under the retry discipline (also the
+  /// raw path beneath the serial library's block buffer).
+  pnc::Status Transfer(bool is_write, std::uint64_t offset, std::byte* data,
+                       std::uint64_t len) {
     return pnc::util::RetryWithBackoff(
         retry_, *clock_, len,
         [&](std::uint64_t done) {
@@ -57,9 +63,26 @@ class PfsCommitIo final : public CommitIo {
         [&](int, double) { file_.RecordRetry(is_write); });
   }
 
+ private:
   pfs::File file_;
   simmpi::VirtualClock* clock_;
   pnc::util::RetryPolicy retry_;  ///< defaults + PNC_RETRY_* env + jitter
 };
+
+/// A dataset's sidecar (commit journal, checksum table) — or its primary,
+/// for recovery analysis — at `path`, billed to the dataset's `tenant`. `create` makes it —
+/// truncating a stale one so a previous file's commits can never be
+/// replayed — and initializes it with `format`; otherwise it is opened.
+inline pnc::Result<std::unique_ptr<PfsCommitIo>> OpenSidecar(
+    pfs::FileSystem& fs, const std::string& path, bool create, int tenant,
+    simmpi::VirtualClock* clock,
+    pnc::Status (*format)(CommitIo&) = nullptr) {
+  auto f = create ? fs.Create(path, /*exclusive=*/false) : fs.Open(path);
+  if (!f.ok()) return f.status();
+  f.value().SetTenant(tenant);
+  auto io = std::make_unique<PfsCommitIo>(std::move(f).value(), clock);
+  if (format != nullptr) PNC_RETURN_IF_ERROR(format(*io));
+  return io;
+}
 
 }  // namespace ncformat

@@ -32,35 +32,10 @@ std::uint64_t AttrEncodedSize(const Attr& a) {
          pnc::xdr::RoundUp4(a.nelems() * TypeSize(a.type));
 }
 
-/// Convert host-order packed values to the big-endian on-disk form.
 void EncodeValues(pnc::xdr::Encoder& enc, NcType type,
                   pnc::ConstByteSpan host) {
-  const std::size_t n = host.size();
-  std::vector<std::byte> out(n);
-  switch (type) {
-    case NcType::kByte:
-    case NcType::kChar:
-      std::memcpy(out.data(), host.data(), n);
-      break;
-    case NcType::kShort:
-      pnc::xdr::EncodeArray<std::int16_t>(
-          {reinterpret_cast<const std::int16_t*>(host.data()), n / 2},
-          out.data());
-      break;
-    case NcType::kInt:
-      pnc::xdr::EncodeArray<std::int32_t>(
-          {reinterpret_cast<const std::int32_t*>(host.data()), n / 4},
-          out.data());
-      break;
-    case NcType::kFloat:
-      pnc::xdr::EncodeArray<float>(
-          {reinterpret_cast<const float*>(host.data()), n / 4}, out.data());
-      break;
-    case NcType::kDouble:
-      pnc::xdr::EncodeArray<double>(
-          {reinterpret_cast<const double*>(host.data()), n / 8}, out.data());
-      break;
-  }
+  std::vector<std::byte> out(host.size());
+  AttrValuesToExternal(type, host, out.data());
   enc.PutBytes(out);
   enc.PadTo4();
 }
@@ -72,28 +47,7 @@ pnc::Status DecodeValues(pnc::xdr::Decoder& dec, NcType type,
   PNC_RETURN_IF_ERROR(dec.GetBytes(raw));
   PNC_RETURN_IF_ERROR(dec.SkipPadTo4());
   host.resize(n);
-  switch (type) {
-    case NcType::kByte:
-    case NcType::kChar:
-      std::memcpy(host.data(), raw.data(), n);
-      break;
-    case NcType::kShort:
-      pnc::xdr::DecodeArray<std::int16_t>(
-          raw.data(), {reinterpret_cast<std::int16_t*>(host.data()), n / 2});
-      break;
-    case NcType::kInt:
-      pnc::xdr::DecodeArray<std::int32_t>(
-          raw.data(), {reinterpret_cast<std::int32_t*>(host.data()), n / 4});
-      break;
-    case NcType::kFloat:
-      pnc::xdr::DecodeArray<float>(
-          raw.data(), {reinterpret_cast<float*>(host.data()), n / 4});
-      break;
-    case NcType::kDouble:
-      pnc::xdr::DecodeArray<double>(
-          raw.data(), {reinterpret_cast<double*>(host.data()), n / 8});
-      break;
-  }
+  AttrValuesFromExternal(type, raw.data(), host);
   return pnc::Status::Ok();
 }
 
@@ -155,6 +109,60 @@ pnc::Status DecodeAttrList(pnc::xdr::Decoder& dec, std::vector<Attr>& attrs) {
 
 // ------------------------------------------------------------------- Attr
 
+void AttrValuesToExternal(NcType type, pnc::ConstByteSpan host,
+                          std::byte* ext) {
+  const std::size_t n = host.size();
+  switch (type) {
+    case NcType::kByte:
+    case NcType::kChar:
+      std::memcpy(ext, host.data(), n);
+      break;
+    case NcType::kShort:
+      pnc::xdr::EncodeArray<std::int16_t>(
+          {reinterpret_cast<const std::int16_t*>(host.data()), n / 2}, ext);
+      break;
+    case NcType::kInt:
+      pnc::xdr::EncodeArray<std::int32_t>(
+          {reinterpret_cast<const std::int32_t*>(host.data()), n / 4}, ext);
+      break;
+    case NcType::kFloat:
+      pnc::xdr::EncodeArray<float>(
+          {reinterpret_cast<const float*>(host.data()), n / 4}, ext);
+      break;
+    case NcType::kDouble:
+      pnc::xdr::EncodeArray<double>(
+          {reinterpret_cast<const double*>(host.data()), n / 8}, ext);
+      break;
+  }
+}
+
+void AttrValuesFromExternal(NcType type, const std::byte* ext,
+                            pnc::ByteSpan host) {
+  const std::size_t n = host.size();
+  switch (type) {
+    case NcType::kByte:
+    case NcType::kChar:
+      std::memcpy(host.data(), ext, n);
+      break;
+    case NcType::kShort:
+      pnc::xdr::DecodeArray<std::int16_t>(
+          ext, {reinterpret_cast<std::int16_t*>(host.data()), n / 2});
+      break;
+    case NcType::kInt:
+      pnc::xdr::DecodeArray<std::int32_t>(
+          ext, {reinterpret_cast<std::int32_t*>(host.data()), n / 4});
+      break;
+    case NcType::kFloat:
+      pnc::xdr::DecodeArray<float>(
+          ext, {reinterpret_cast<float*>(host.data()), n / 4});
+      break;
+    case NcType::kDouble:
+      pnc::xdr::DecodeArray<double>(
+          ext, {reinterpret_cast<double*>(host.data()), n / 8});
+      break;
+  }
+}
+
 Attr Attr::Text(std::string name, std::string_view value) {
   Attr a;
   a.name = std::move(name);
@@ -166,12 +174,6 @@ Attr Attr::Text(std::string name, std::string_view value) {
 
 std::string Attr::AsText() const {
   return std::string(reinterpret_cast<const char*>(data.data()), data.size());
-}
-
-int Var::FindAttr(std::string_view aname) const {
-  for (std::size_t i = 0; i < attrs.size(); ++i)
-    if (attrs[i].name == aname) return static_cast<int>(i);
-  return -1;
 }
 
 // ----------------------------------------------------------------- Header
@@ -192,6 +194,23 @@ int Header::FindVar(std::string_view name) const {
   for (std::size_t i = 0; i < vars.size(); ++i)
     if (vars[i].name == name) return static_cast<int>(i);
   return -1;
+}
+
+pnc::Result<int> Header::DimId(std::string_view name) const {
+  const int id = FindDim(name);
+  if (id < 0) return pnc::Status(pnc::Err::kBadDim, std::string(name));
+  return id;
+}
+
+pnc::Result<int> Header::VarId(std::string_view name) const {
+  const int id = FindVar(name);
+  if (id < 0) return pnc::Status(pnc::Err::kNotVar, std::string(name));
+  return id;
+}
+
+std::string_view Header::VarName(int varid) const {
+  if (varid < 0 || static_cast<std::size_t>(varid) >= vars.size()) return {};
+  return vars[static_cast<std::size_t>(varid)].name;
 }
 
 bool Header::IsRecordVar(int varid) const {
@@ -222,6 +241,16 @@ std::uint64_t Header::VarInstanceElems(int varid) const {
   return n;
 }
 
+std::vector<std::uint64_t> Header::PutVarShape(int varid,
+                                               std::uint64_t nelems) const {
+  auto shape = VarShape(varid);
+  if (IsRecordVar(varid)) {
+    const std::uint64_t per_rec = VarInstanceElems(varid);
+    if (per_rec > 0) shape[0] = nelems / per_rec;
+  }
+  return shape;
+}
+
 std::uint64_t Header::recsize() const { return recsize_; }
 std::uint64_t Header::data_begin() const { return data_begin_; }
 
@@ -241,6 +270,122 @@ std::uint64_t Header::FileSize() const {
   if (any_rec) end = std::max(end, rec_base + numrecs * recsize_);
   return end;
 }
+
+// ------------------------------------------------ define mode, attributes
+
+pnc::Result<int> Header::DefDim(const std::string& name, std::uint64_t len) {
+  if (FindDim(name) >= 0) return pnc::Status(pnc::Err::kNameInUse, name);
+  if (len == kUnlimitedLen && unlimited_dimid() >= 0)
+    return pnc::Status(pnc::Err::kUnlimit, name);
+  if (dims.size() >= kMaxDims) return pnc::Status(pnc::Err::kMaxDims);
+  dims.push_back({name, len});
+  return static_cast<int>(dims.size()) - 1;
+}
+
+pnc::Result<int> Header::DefVar(const std::string& name, NcType type,
+                                std::vector<std::int32_t> dimids) {
+  if (FindVar(name) >= 0) return pnc::Status(pnc::Err::kNameInUse, name);
+  if (vars.size() >= kMaxVars) return pnc::Status(pnc::Err::kMaxVars);
+  if (!IsValidType(static_cast<std::int32_t>(type)))
+    return pnc::Status(pnc::Err::kBadType, name);
+  for (std::size_t i = 0; i < dimids.size(); ++i) {
+    const auto d = dimids[i];
+    if (d < 0 || static_cast<std::size_t>(d) >= dims.size())
+      return pnc::Status(pnc::Err::kBadDim, name);
+    if (dims[static_cast<std::size_t>(d)].is_unlimited() && i != 0)
+      return pnc::Status(pnc::Err::kUnlimPos, name);
+  }
+  Var v;
+  v.name = name;
+  v.type = type;
+  v.dimids = std::move(dimids);
+  vars.push_back(std::move(v));
+  return static_cast<int>(vars.size()) - 1;
+}
+
+pnc::Status Header::RenameDim(int dimid, const std::string& name) {
+  if (dimid < 0 || static_cast<std::size_t>(dimid) >= dims.size())
+    return pnc::Status(pnc::Err::kBadDim);
+  if (FindDim(name) >= 0) return pnc::Status(pnc::Err::kNameInUse, name);
+  dims[static_cast<std::size_t>(dimid)].name = name;
+  return pnc::Status::Ok();
+}
+
+pnc::Status Header::RenameVar(int varid, const std::string& name) {
+  if (varid < 0 || static_cast<std::size_t>(varid) >= vars.size())
+    return pnc::Status(pnc::Err::kNotVar);
+  if (FindVar(name) >= 0) return pnc::Status(pnc::Err::kNameInUse, name);
+  vars[static_cast<std::size_t>(varid)].name = name;
+  return pnc::Status::Ok();
+}
+
+namespace {
+
+/// The attribute list `varid` names (kGlobal: the global list), for a
+/// const or a mutable header.
+template <typename H>
+auto AttrListOf(H& h, int varid) -> pnc::Result<decltype(&h.gatts)> {
+  if (varid == kGlobal) return &h.gatts;
+  if (varid < 0 || static_cast<std::size_t>(varid) >= h.vars.size())
+    return pnc::Status(pnc::Err::kNotVar);
+  return &h.vars[static_cast<std::size_t>(varid)].attrs;
+}
+
+template <typename List>
+auto FindAttrIn(List& attrs, std::string_view name) {
+  return std::find_if(attrs.begin(), attrs.end(),
+                      [&](const Attr& a) { return a.name == name; });
+}
+
+}  // namespace
+
+pnc::Status Header::PutAtt(int varid, Attr att, bool define_mode) {
+  PNC_ASSIGN_OR_RETURN(std::vector<Attr>* attrs, AttrListOf(*this, varid));
+  const auto it = FindAttrIn(*attrs, att.name);
+  if (!define_mode &&
+      (it == attrs->end() || att.type != it->type ||
+       att.data.size() > it->data.size()))
+    return pnc::Status(pnc::Err::kNotInDefine, att.name);
+  if (it != attrs->end()) {
+    *it = std::move(att);
+  } else {
+    if (attrs->size() >= kMaxAttrs) return pnc::Status(pnc::Err::kMaxAtts);
+    attrs->push_back(std::move(att));
+  }
+  return pnc::Status::Ok();
+}
+
+pnc::Result<Attr> Header::GetAtt(int varid, std::string_view name) const {
+  PNC_ASSIGN_OR_RETURN(const std::vector<Attr>* attrs,
+                       AttrListOf(*this, varid));
+  const auto it = FindAttrIn(*attrs, name);
+  if (it == attrs->end())
+    return pnc::Status(pnc::Err::kNotAtt, std::string(name));
+  return *it;
+}
+
+pnc::Status Header::DelAtt(int varid, std::string_view name) {
+  PNC_ASSIGN_OR_RETURN(std::vector<Attr>* attrs, AttrListOf(*this, varid));
+  const auto it = FindAttrIn(*attrs, name);
+  if (it == attrs->end())
+    return pnc::Status(pnc::Err::kNotAtt, std::string(name));
+  attrs->erase(it);
+  return pnc::Status::Ok();
+}
+
+pnc::Status Header::RenameAtt(int varid, std::string_view old_name,
+                              const std::string& new_name) {
+  PNC_ASSIGN_OR_RETURN(std::vector<Attr>* attrs, AttrListOf(*this, varid));
+  if (FindAttrIn(*attrs, new_name) != attrs->end())
+    return pnc::Status(pnc::Err::kNameInUse, new_name);
+  const auto it = FindAttrIn(*attrs, old_name);
+  if (it == attrs->end())
+    return pnc::Status(pnc::Err::kNotAtt, std::string(old_name));
+  it->name = new_name;
+  return pnc::Status::Ok();
+}
+
+// ------------------------------------------------------- validation, layout
 
 pnc::Status Header::Validate() const {
   if (version != 1 && version != 2)
@@ -294,14 +439,7 @@ pnc::Status Header::ComputeLayout(std::uint64_t min_data_begin) {
 
   data_begin_ = std::max(pnc::xdr::RoundUp4(EncodedSize()),
                          pnc::xdr::RoundUp4(min_data_begin));
-
-  // vsize: bytes per (record of the) variable, rounded up to 4.
-  for (std::size_t i = 0; i < vars.size(); ++i) {
-    auto& v = vars[i];
-    const std::uint64_t raw =
-        VarInstanceElems(static_cast<int>(i)) * TypeSize(v.type);
-    v.vsize = pnc::xdr::RoundUp4(raw);
-  }
+  SizeVars();
 
   // Fixed-size arrays: contiguous, in definition order (Figure 1).
   std::uint64_t cursor = data_begin_;
@@ -313,20 +451,11 @@ pnc::Status Header::ComputeLayout(std::uint64_t min_data_begin) {
 
   // Record variables: their first records laid out back to back after the
   // fixed arrays; subsequent records repeat at recsize() intervals.
-  std::uint64_t nrec_vars = 0;
-  std::uint64_t rec_cursor = cursor;
-  std::uint64_t rec_bytes = 0;
-  std::uint64_t sole_raw = 0;
   for (std::size_t i = 0; i < vars.size(); ++i) {
     if (!IsRecordVar(static_cast<int>(i))) continue;
-    vars[i].begin = rec_cursor;
-    rec_cursor += vars[i].vsize;
-    rec_bytes += vars[i].vsize;
-    sole_raw = VarInstanceElems(static_cast<int>(i)) * TypeSize(vars[i].type);
-    ++nrec_vars;
+    vars[i].begin = cursor;
+    cursor += vars[i].vsize;
   }
-  // Special case: a single record variable needs no inter-record padding.
-  recsize_ = (nrec_vars == 1) ? sole_raw : rec_bytes;
 
   if (version == 1) {
     for (const auto& v : vars) {
@@ -335,6 +464,41 @@ pnc::Status Header::ComputeLayout(std::uint64_t min_data_begin) {
     }
   }
   return pnc::Status::Ok();
+}
+
+std::array<std::byte, 4> Header::NumrecsField() const {
+  std::array<std::byte, 4> f;
+  const auto v = pnc::xdr::ToBig(static_cast<std::uint32_t>(numrecs));
+  std::memcpy(f.data(), &v, f.size());
+  return f;
+}
+
+pnc::Status Header::ComputeLayoutAfter(const Header* before,
+                                       std::uint64_t align) {
+  std::uint64_t min_begin = align;
+  if (before != nullptr && EncodedSize() <= before->data_begin())
+    min_begin = std::max(min_begin, before->data_begin());
+  return ComputeLayout(min_begin);
+}
+
+void Header::SizeVars() {
+  std::uint64_t nrec_vars = 0;
+  std::uint64_t rec_bytes = 0;
+  std::uint64_t sole_raw = 0;
+  for (std::size_t i = 0; i < vars.size(); ++i) {
+    auto& v = vars[i];
+    const std::uint64_t raw =
+        VarInstanceElems(static_cast<int>(i)) * TypeSize(v.type);
+    // vsize: bytes per (record of the) variable, rounded up to 4.
+    v.vsize = pnc::xdr::RoundUp4(raw);
+    if (IsRecordVar(static_cast<int>(i))) {
+      rec_bytes += v.vsize;
+      sole_raw = raw;
+      ++nrec_vars;
+    }
+  }
+  // Special case: a single record variable needs no inter-record padding.
+  recsize_ = (nrec_vars == 1) ? sole_raw : rec_bytes;
 }
 
 std::uint64_t Header::EncodedSize() const {
@@ -398,6 +562,12 @@ void Header::Encode(std::vector<std::byte>& out) const {
       }
     }
   }
+}
+
+std::vector<std::byte> Header::Encode() const {
+  std::vector<std::byte> out;
+  Encode(out);
+  return out;
 }
 
 pnc::Result<Header> Header::Decode(pnc::ConstByteSpan in) {
@@ -476,21 +646,7 @@ pnc::Result<Header> Header::Decode(pnc::ConstByteSpan in) {
   // begin offsets are taken from the file, as the reference library does —
   // writers may leave extra header space.
   h.data_begin_ = pnc::xdr::RoundUp4(dec.pos());
-  std::uint64_t nrec_vars = 0;
-  std::uint64_t rec_bytes = 0;
-  std::uint64_t sole_raw = 0;
-  for (std::size_t i = 0; i < h.vars.size(); ++i) {
-    auto& v = h.vars[i];
-    const std::uint64_t raw =
-        h.VarInstanceElems(static_cast<int>(i)) * TypeSize(v.type);
-    v.vsize = pnc::xdr::RoundUp4(raw);
-    if (h.IsRecordVar(static_cast<int>(i))) {
-      rec_bytes += v.vsize;
-      sole_raw = raw;
-      ++nrec_vars;
-    }
-  }
-  h.recsize_ = (nrec_vars == 1) ? sole_raw : rec_bytes;
+  h.SizeVars();
   return h;
 }
 

@@ -16,11 +16,13 @@
 // header and interleave record variables' records after them (Figure 1).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "format/convert.hpp"
 #include "format/types.hpp"
 #include "util/bytes.hpp"
 #include "util/status.hpp"
@@ -30,6 +32,10 @@ namespace ncformat {
 
 /// Dimension length value marking the unlimited (record) dimension.
 constexpr std::uint64_t kUnlimitedLen = 0;
+/// File offset of the header's numrecs field.
+constexpr std::uint64_t kNumrecsOffset = 4;
+/// The varid naming the global attribute list (NC_GLOBAL).
+constexpr int kGlobal = -1;
 
 /// Classic-format limits (from netcdf.h).
 constexpr std::size_t kMaxName = 256;
@@ -59,9 +65,28 @@ struct Attr {
   static Attr Text(std::string name, std::string_view value);
   template <typename T>
   static Attr Numeric(std::string name, NcType type, std::span<const T> values);
+  /// A numeric attribute of external type `type` from host values of T,
+  /// narrowed with netCDF range semantics: kRange comes back with the
+  /// completed attribute (values cast, as the reference library stores
+  /// them); text or a bad type is kBadType and leaves `out` untouched.
+  template <typename T>
+  static pnc::Status Convert(std::string name, NcType type,
+                             std::span<const T> values, Attr* out);
 
   [[nodiscard]] std::string AsText() const;
+  /// The values as T (nelems() of them): kBadType for text, kRange when a
+  /// value does not fit T (the conversion still completes).
+  template <typename T>
+  pnc::Status ValuesAs(std::span<T> out) const;
 };
+
+/// Host-order packed attribute values <-> their external (big-endian)
+/// bytes, host.size() bytes either way. The one conversion behind the
+/// header codec and the typed numeric attribute calls of both libraries.
+void AttrValuesToExternal(NcType type, pnc::ConstByteSpan host,
+                          std::byte* ext);
+void AttrValuesFromExternal(NcType type, const std::byte* ext,
+                            pnc::ByteSpan host);
 
 struct Var {
   std::string name;
@@ -72,8 +97,6 @@ struct Var {
   // Layout (computed by Header::ComputeLayout, read from file on open).
   std::uint64_t vsize = 0;  ///< bytes per variable (per record if record var)
   std::uint64_t begin = 0;  ///< file offset of first byte (of first record)
-
-  [[nodiscard]] int FindAttr(std::string_view aname) const;
 };
 
 /// The complete in-memory header of an open dataset. Both the serial and
@@ -90,11 +113,21 @@ struct Header {
   [[nodiscard]] int unlimited_dimid() const;
   [[nodiscard]] int FindDim(std::string_view name) const;
   [[nodiscard]] int FindVar(std::string_view name) const;
+  /// Id lookups with the interface's codes (kBadDim / kNotVar).
+  [[nodiscard]] pnc::Result<int> DimId(std::string_view name) const;
+  [[nodiscard]] pnc::Result<int> VarId(std::string_view name) const;
+  /// The variable's name, empty for an invalid id (request attribution).
+  [[nodiscard]] std::string_view VarName(int varid) const;
   [[nodiscard]] bool IsRecordVar(int varid) const;
   /// Dimension lengths of a variable, record dim included as current numrecs.
   [[nodiscard]] std::vector<std::uint64_t> VarShape(int varid) const;
   /// Elements per variable instance (per record for record variables).
   [[nodiscard]] std::uint64_t VarInstanceElems(int varid) const;
+  /// The shape a whole-variable put of `nelems` values writes: VarShape,
+  /// except that a record variable's record count is inferred from the
+  /// data size, as the reference library does.
+  [[nodiscard]] std::vector<std::uint64_t> PutVarShape(
+      int varid, std::uint64_t nelems) const;
   /// Bytes between the starts of consecutive records (the interleaved record
   /// slab size; Figure 1). Includes the single-record-variable special case.
   [[nodiscard]] std::uint64_t recsize() const;
@@ -102,6 +135,29 @@ struct Header {
   [[nodiscard]] std::uint64_t data_begin() const;
   /// Total file bytes implied by the header (fixed part + numrecs records).
   [[nodiscard]] std::uint64_t FileSize() const;
+  /// The encoded numrecs field, rewritten in place at kNumrecsOffset when
+  /// the record count grows in data mode.
+  [[nodiscard]] std::array<std::byte, 4> NumrecsField() const;
+
+  // ---- define mode and attributes ----
+  // The classic interface's rules, shared by the serial and the parallel
+  // library (paper §4.1: PnetCDF keeps the serial define-mode and attribute
+  // semantics). Callers check their own session state (define mode,
+  // writable) first; these return the same pnc::Err codes from both.
+  pnc::Result<int> DefDim(const std::string& name, std::uint64_t len);
+  pnc::Result<int> DefVar(const std::string& name, NcType type,
+                          std::vector<std::int32_t> dimids);
+  pnc::Status RenameDim(int dimid, const std::string& name);
+  pnc::Status RenameVar(int varid, const std::string& name);
+  /// Create or replace attribute `att` of `varid` (kGlobal for the global
+  /// list). Outside define mode only replacing an existing attribute with
+  /// one of the same type and no more bytes is allowed — the header cannot
+  /// grow without a relayout — and the caller rewrites the header.
+  pnc::Status PutAtt(int varid, Attr att, bool define_mode);
+  pnc::Result<Attr> GetAtt(int varid, std::string_view name) const;
+  pnc::Status DelAtt(int varid, std::string_view name);
+  pnc::Status RenameAtt(int varid, std::string_view old_name,
+                        const std::string& new_name);
 
   // ---- validation & layout ----
   /// Check naming rules, dimension/variable constraints, and format limits.
@@ -110,9 +166,17 @@ struct Header {
   /// header space (used to avoid moving data when re-entering define mode
   /// grows the header). Fails if CDF-1 offsets overflow 32 bits.
   [[nodiscard]] pnc::Status ComputeLayout(std::uint64_t min_data_begin = 0);
+  /// The EndDef layout: keep `before`'s data_begin (the header as it was
+  /// at Redef; null for a new dataset) when this grown header still fits in
+  /// front of it, and never start the data below `align`. Besides saving
+  /// the copy, not moving is the crash-safe choice: an in-place relayout
+  /// is the one case the commit protocol cannot make atomic.
+  [[nodiscard]] pnc::Status ComputeLayoutAfter(const Header* before,
+                                               std::uint64_t align = 0);
 
   // ---- codec ----
   void Encode(std::vector<std::byte>& out) const;
+  [[nodiscard]] std::vector<std::byte> Encode() const;
   static pnc::Result<Header> Decode(pnc::ConstByteSpan in);
 
   /// Encoded size without materializing the encoding.
@@ -121,6 +185,10 @@ struct Header {
   friend bool operator==(const Header& a, const Header& b);
 
  private:
+  /// vsize of every variable and the record size, from the shapes alone
+  /// (shared by ComputeLayout and Decode).
+  void SizeVars();
+
   std::uint64_t data_begin_ = 0;
   std::uint64_t recsize_ = 0;
 };
@@ -133,6 +201,28 @@ Attr Attr::Numeric(std::string name, NcType type, std::span<const T> values) {
   a.data.resize(values.size() * sizeof(T));
   std::memcpy(a.data.data(), values.data(), a.data.size());
   return a;
+}
+
+template <typename T>
+pnc::Status Attr::Convert(std::string name, NcType type,
+                          std::span<const T> values, Attr* out) {
+  if (type == NcType::kChar) return pnc::Status(pnc::Err::kBadType, name);
+  std::vector<std::byte> ext(values.size() * TypeSize(type));
+  pnc::Status conv = ToExternal<T>(values, type, ext.data());
+  if (!conv.ok() && conv.code() != pnc::Err::kRange) return conv;
+  out->name = std::move(name);
+  out->type = type;
+  out->data.resize(ext.size());
+  AttrValuesFromExternal(type, ext.data(), out->data);
+  return conv;
+}
+
+template <typename T>
+pnc::Status Attr::ValuesAs(std::span<T> out) const {
+  if (type == NcType::kChar) return pnc::Status(pnc::Err::kBadType, name);
+  std::vector<std::byte> ext(data.size());
+  AttrValuesToExternal(type, data, ext.data());
+  return FromExternal<T>(ext.data(), type, out.first(nelems()));
 }
 
 }  // namespace ncformat

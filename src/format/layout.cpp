@@ -1,5 +1,7 @@
 #include "format/layout.hpp"
 
+#include <algorithm>
+
 namespace ncformat {
 
 std::uint64_t AccessElems(std::span<const std::uint64_t> count) {
@@ -10,7 +12,7 @@ pnc::Status ValidateAccess(const Header& h, int varid,
                            std::span<const std::uint64_t> start,
                            std::span<const std::uint64_t> count,
                            std::span<const std::uint64_t> stride,
-                           AccessKind kind) {
+                           AccessKind kind, std::uint64_t buffer_elems) {
   if (varid < 0 || static_cast<std::size_t>(varid) >= h.vars.size())
     return pnc::Status(pnc::Err::kNotVar);
   const auto& v = h.vars[static_cast<std::size_t>(varid)];
@@ -34,7 +36,18 @@ pnc::Status ValidateAccess(const Header& h, int varid,
     if (start[d] + (count[d] - 1) * st + 1 > bound)
       return pnc::Status(pnc::Err::kEdge, v.name);
   }
+  if (buffer_elems < AccessElems(count))
+    return pnc::Status(pnc::Err::kInvalidArg, "buffer");
   return pnc::Status::Ok();
+}
+
+std::uint64_t RecordsTouched(const Header& h, int varid,
+                             std::span<const std::uint64_t> start,
+                             std::span<const std::uint64_t> count,
+                             std::span<const std::uint64_t> stride) {
+  if (!h.IsRecordVar(varid) || count.empty() || count[0] == 0) return 0;
+  const std::uint64_t st = stride.empty() ? 1 : stride[0];
+  return start[0] + (count[0] - 1) * st + 1;
 }
 
 void AccessRegions(const Header& h, int varid,
@@ -116,6 +129,42 @@ void AccessRegions(const Header& h, int varid,
       idx[d] = 0;
     }
   }
+}
+
+pnc::Status CheckImap(std::span<const std::uint64_t> count,
+                      std::span<const std::uint64_t> imap) {
+  if (imap.size() != count.size())
+    return pnc::Status(pnc::Err::kInvalidArg, "imap rank");
+  return pnc::Status::Ok();
+}
+
+pnc::Result<std::vector<RelayoutMove>> RelayoutPlan(const Header& old_h,
+                                                    const Header& new_h) {
+  std::vector<RelayoutMove> moves;
+  for (std::size_t i = 0; i < old_h.vars.size(); ++i) {
+    const auto& ov = old_h.vars[i];
+    const int nid = new_h.FindVar(ov.name);
+    if (nid < 0) continue;  // vars cannot be deleted, but be defensive
+    const auto& nv = new_h.vars[static_cast<std::size_t>(nid)];
+    if (old_h.IsRecordVar(static_cast<int>(i))) {
+      for (std::uint64_t r = 0; r < old_h.numrecs; ++r)
+        moves.push_back({ov.begin + r * old_h.recsize(),
+                         nv.begin + r * new_h.recsize(), ov.vsize});
+    } else {
+      moves.push_back({ov.begin, nv.begin, ov.vsize});
+    }
+  }
+  std::erase_if(moves, [](const RelayoutMove& m) {
+    return m.from == m.to || m.len == 0;
+  });
+  for (const auto& m : moves)
+    if (m.to < m.from)
+      return pnc::Status(pnc::Err::kInternal, "relayout moved data backwards");
+  std::sort(moves.begin(), moves.end(),
+            [](const RelayoutMove& a, const RelayoutMove& b) {
+              return a.to > b.to;
+            });
+  return moves;
 }
 
 }  // namespace ncformat

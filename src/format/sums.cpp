@@ -73,6 +73,15 @@ std::string SumsPath(const std::string& path) { return path + ".ncsum"; }
 
 bool SumsEnabled() { return pnc::util::EnvInt("PNC_SUMS", 1) != 0; }
 
+std::uint64_t SumsOrigin(const Header& h) {
+  if (h.vars.empty()) return 0;
+  return std::min_element(h.vars.begin(), h.vars.end(),
+                          [](const Var& a, const Var& b) {
+                            return a.begin < b.begin;
+                          })
+      ->begin;
+}
+
 std::uint64_t SumChunkSize() {
   using pnc::operator""_KiB;
   using pnc::operator""_MiB;
@@ -500,6 +509,70 @@ pnc::Status RebuildSums(CommitIo& io, std::uint64_t chunk_size,
     return st;
   *state = fresh;
   return pnc::Status::Ok();
+}
+
+// ------------------------------------------------------------- session
+
+bool ApplyTrustRule(LoadedSums* loaded, std::uint64_t origin) {
+  const bool stale = loaded->trusted && loaded->map.data_begin() != origin;
+  if (stale) loaded->trusted = false;
+  if (!loaded->trusted || loaded->map.chunk_size() == 0) {
+    loaded->map.Clear();
+    loaded->map.SetGeometry(SumChunkSize(), origin);
+  }
+  return stale;
+}
+
+pnc::Result<bool> SumsSession::Open(bool created, std::uint64_t origin) {
+  if (created) PNC_RETURN_IF_ERROR(FormatSums(*io));
+  PNC_ASSIGN_OR_RETURN(LoadedSums loaded, LoadSums(*io));
+  state = loaded.state;
+  (void)ApplyTrustRule(&loaded, origin);
+  map = std::move(loaded.map);
+  if (writable) {
+    PNC_RETURN_IF_ERROR(CommitSums(*io, map, /*open=*/true, &state));
+  } else if (!loaded.trusted) {
+    io.reset();
+    return false;
+  }
+  on = true;
+  return true;
+}
+
+void SumsSession::Rebase(std::uint64_t origin, std::uint64_t data_end) {
+  if (!on || (map.chunk_size() != 0 && map.data_begin() == origin)) return;
+  const std::uint64_t cs =
+      map.chunk_size() != 0 ? map.chunk_size() : SumChunkSize();
+  map.Clear();
+  map.SetGeometry(cs, origin);
+  if (data_end > origin) map.MarkUnsummed(origin, data_end - origin);
+}
+
+pnc::Status SumsSession::Settle(std::vector<SumPiece> pieces,
+                                const std::set<std::uint64_t>& unsummed,
+                                std::uint64_t file_size, const RawRead& raw) {
+  if (map.chunk_size() == 0) return pnc::Status::Ok();
+  return ResumChunks(
+      map, map.ResolvePieces(std::move(pieces), unsummed, file_size),
+      file_size, raw);
+}
+
+pnc::Status SumsAfterTransfer(ChunkSumMap* map, bool verify, bool is_write,
+                              std::uint64_t offset, pnc::ByteSpan data,
+                              pnc::Status st, bool stored,
+                              std::uint64_t file_size, const RawRead& raw,
+                              int heal_attempts, double t_ns) {
+  if (map == nullptr || data.empty()) return st;
+  if (is_write) {
+    if (st.ok())
+      map->RecordWrite(offset, data, stored);
+    else
+      map->MarkUnsummed(offset, data.size());
+    return st;
+  }
+  if (!st.ok() || !verify) return st;
+  return VerifyReadRange(*map, offset, data, file_size, raw, heal_attempts,
+                         t_ns, nullptr);
 }
 
 }  // namespace ncformat

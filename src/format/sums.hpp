@@ -67,11 +67,13 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "format/commit.hpp"
+#include "format/header.hpp"
 #include "util/bytes.hpp"
 #include "util/status.hpp"
 
@@ -82,6 +84,11 @@ namespace ncformat {
 
 /// PNC_SUMS gate (default on; "0" disables the whole subsystem).
 [[nodiscard]] bool SumsEnabled();
+
+/// Origin of chunk 0: the first byte of the data region `h` lays out, i.e.
+/// the lowest variable begin offset (alignment hints can push it past the
+/// encoded header size); 0 when no variables exist.
+[[nodiscard]] std::uint64_t SumsOrigin(const Header& h);
 
 /// Chunk size: PNC_SUM_CHUNK bytes, default 64 KiB, clamped to
 /// [4 KiB, 16 MiB]. 64 KiB keeps the sidecar tiny (16 B per 64 KiB of
@@ -224,6 +231,14 @@ struct LoadedSums {
   bool trusted = false;
 };
 
+/// The trust rule at open: a loaded table stays trusted only when its
+/// geometry matches the live data region at `origin` — a mismatch means a
+/// stale sidecar (an out-of-band rewrite of the primary), discarded rather
+/// than risking false corruption verdicts. An untrusted or geometry-less
+/// map is reset empty at `origin` with the default chunk size. Returns true
+/// when a trusted table was demoted for its geometry.
+bool ApplyTrustRule(LoadedSums* loaded, std::uint64_t origin);
+
 /// Parse the sidecar. A CRC-invalid slot/table is re-read up to
 /// `reread_attempts` times (a transient read-side flip of the sidecar
 /// itself must not silently disable verification) before degrading to
@@ -235,6 +250,55 @@ struct LoadedSums {
 /// (no recursion) but retain the caller's retry/cost discipline.
 using RawRead =
     std::function<pnc::Status(std::uint64_t offset, pnc::ByteSpan out)>;
+
+/// One dataset's checksum session: the rules the serial and the parallel
+/// library share. The map is kept on every rank; the sidecar handle and its
+/// slot state live with the committing side (the serial library, the
+/// parallel root).
+struct SumsSession {
+  ChunkSumMap map;
+  std::unique_ptr<CommitIo> io;
+  SumsState state;
+  bool on = false;        ///< armed for this dataset (agreed on all ranks)
+  bool writable = false;  ///< the dataset was opened for writing
+
+  /// Read-only sessions commit nothing — no table, no slot, no sync — so a
+  /// reader never writes the sidecar.
+  [[nodiscard]] bool commits() const { return on && writable; }
+
+  /// Open-time decision through `io` (formatted first when `created`):
+  /// load the table, apply the trust rule at `origin` and, when writable,
+  /// commit the session-open marker before any data write can land. False
+  /// (and `io` released) leaves the session unarmed: a read-only open with
+  /// nothing trustworthy to verify against.
+  pnc::Result<bool> Open(bool created, std::uint64_t origin);
+
+  /// EndDef: the map follows the data region to `origin`. When it moved (or
+  /// had no geometry yet) every committed sum is stale, so the map restarts
+  /// empty and the existing data [origin, data_end) is marked unsummed for
+  /// the next flush to re-read. Call before the relayout and fills, so their
+  /// writes record pieces in the new geometry.
+  void Rebase(std::uint64_t origin, std::uint64_t data_end);
+
+  /// The committing side of a flush: fold every writer's pending `pieces`
+  /// and `unsummed` chunks into the map (ChunkSumMap::ResolvePieces) and
+  /// re-read the chunks they do not tile through `raw` — one requester, in
+  /// chunk order, so no read depends on thread scheduling.
+  pnc::Status Settle(std::vector<SumPiece> pieces,
+                     const std::set<std::uint64_t>& unsummed,
+                     std::uint64_t file_size, const RawRead& raw);
+};
+
+/// The integrity hook of both libraries' physical I/O path (mpiio's and the
+/// serial BufferedFile's RetryIo), given the status `st` of one transfer of
+/// `data` at `offset`; a no-op without an attached map. A successful write
+/// records its pieces (`stored` false: the medium keeps zeros); a failed
+/// one, which may still have stored a prefix, marks its chunks unsummed. A
+/// successful read is verified (VerifyReadRange) when `verify` is set.
+[[nodiscard]] pnc::Status SumsAfterTransfer(
+    ChunkSumMap* map, bool verify, bool is_write, std::uint64_t offset,
+    pnc::ByteSpan data, pnc::Status st, bool stored, std::uint64_t file_size,
+    const RawRead& raw, int heal_attempts, double t_ns);
 
 /// The flush fallback: re-sum `chunks` (ascending, from ResolvePieces)
 /// from the file bytes through `raw`, one request per run of adjacent

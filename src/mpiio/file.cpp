@@ -213,25 +213,15 @@ void File::AttachSums(ncformat::ChunkSumMap* sums, bool verify) {
 
 pnc::Status File::Impl::RetryIo(bool is_write, std::uint64_t off,
                                 std::byte* data, std::uint64_t len) {
+  // The transfer first: the hook reads the size and clock it left behind.
   pnc::Status st = RawIo(is_write, off, data, len);
-  if (sums == nullptr || len == 0) return st;
-  if (is_write) {
-    // A failed write may still have stored a prefix (a short transfer
-    // before the error): its chunks are re-read at the next flush.
-    if (st.ok())
-      sums->RecordWrite(off, pnc::ConstByteSpan(data, len),
-                        file.stores_bytes());
-    else
-      sums->MarkUnsummed(off, len);
-    return st;
-  }
-  if (!st.ok() || !sums_verify) return st;
-  return ncformat::VerifyReadRange(
-      *sums, off, pnc::ByteSpan(data, len), file.size(),
+  return ncformat::SumsAfterTransfer(
+      sums, sums_verify, is_write, off, pnc::ByteSpan(data, len), std::move(st),
+      file.stores_bytes(), file.size(),
       [this](std::uint64_t o, pnc::ByteSpan out) {
         return RawIo(/*is_write=*/false, o, out.data(), out.size());
       },
-      std::max(1, retry.max_attempts), comm.clock().now(), nullptr);
+      std::max(1, retry.max_attempts), comm.clock().now());
 }
 
 pnc::Status File::Impl::RawIo(bool is_write, std::uint64_t off,

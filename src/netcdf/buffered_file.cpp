@@ -7,9 +7,8 @@ namespace netcdf {
 
 BufferedFile::BufferedFile(pfs::File file, simmpi::VirtualClock* clock,
                            std::uint64_t buffer_size, double copy_ns_per_byte)
-    : file_(std::move(file)),
+    : raw_(std::move(file), clock),
       clock_(clock),
-      retry_(pnc::util::ResolveRetryPolicy(/*rank=*/0)),
       bufsize_(std::max<std::uint64_t>(buffer_size, 4096)),
       copy_ns_per_byte_(copy_ns_per_byte) {
   block_.resize(bufsize_);
@@ -28,47 +27,18 @@ void BufferedFile::AttachSums(ncformat::ChunkSumMap* sums, bool verify) {
 
 pnc::Status BufferedFile::RetryIo(bool is_write, std::uint64_t offset,
                                   std::byte* data, std::uint64_t len) {
-  pnc::Status st = RawIo(is_write, offset, data, len);
-  if (sums_ == nullptr || len == 0) return st;
-  if (is_write) {
-    // A failed write may still have stored a prefix (a short transfer
-    // before the error): its chunks are re-read at the next flush.
-    if (st.ok())
-      sums_->RecordWrite(offset, pnc::ConstByteSpan(data, len),
-                         file_.stores_bytes());
-    else
-      sums_->MarkUnsummed(offset, len);
-    return st;
-  }
-  if (!st.ok() || !sums_verify_) return st;
-  return ncformat::VerifyReadRange(
-      *sums_, offset, pnc::ByteSpan(data, len), file_.size(),
-      [this](std::uint64_t o, pnc::ByteSpan out) {
-        return RawIo(/*is_write=*/false, o, out.data(), out.size());
-      },
-      std::max(1, retry_.max_attempts), clock_->now(), nullptr);
+  // The transfer first: the hook reads the size and clock it left behind.
+  pnc::Status st = raw_.Transfer(is_write, offset, data, len);
+  return ncformat::SumsAfterTransfer(
+      sums_, sums_verify_, is_write, offset, pnc::ByteSpan(data, len),
+      std::move(st), raw_.file().stores_bytes(), raw_.Size(),
+      [this](std::uint64_t o, pnc::ByteSpan out) { return raw_.Read(o, out); },
+      std::max(1, raw_.retry().max_attempts), clock_->now());
 }
 
 pnc::Status BufferedFile::ReadUncached(std::uint64_t offset,
                                        pnc::ByteSpan out) {
-  return RawIo(/*is_write=*/false, offset, out.data(), out.size());
-}
-
-pnc::Status BufferedFile::RawIo(bool is_write, std::uint64_t offset,
-                                std::byte* data, std::uint64_t len) {
-  return pnc::util::RetryWithBackoff(
-      retry_, *clock_, len,
-      [&](std::uint64_t done) {
-        return is_write
-                   ? file_.TryWrite(
-                         offset + done,
-                         pnc::ConstByteSpan(data + done, len - done),
-                         clock_->now())
-                   : file_.TryRead(offset + done,
-                                   pnc::ByteSpan(data + done, len - done),
-                                   clock_->now());
-      },
-      [&](int, double) { file_.RecordRetry(is_write); });
+  return raw_.Read(offset, out);
 }
 
 pnc::Status BufferedFile::LoadBlock(std::uint64_t block_start) {
@@ -164,20 +134,18 @@ pnc::Status BufferedFile::WriteAt(std::uint64_t offset,
   return pnc::Status::Ok();
 }
 
-std::uint64_t BufferedFile::size() { return file_.size(); }
+std::uint64_t BufferedFile::size() { return raw_.Size(); }
 
 pnc::Status BufferedFile::Truncate(std::uint64_t n) {
   PNC_RETURN_IF_ERROR(Flush());
   block_valid_ = false;
-  file_.Truncate(n);
+  raw_.file().Truncate(n);
   return pnc::Status::Ok();
 }
 
 pnc::Status BufferedFile::Sync() {
   PNC_RETURN_IF_ERROR(Flush());
-  return pnc::util::RetrySyncWithBackoff(
-      retry_, *clock_, [&] { return file_.TrySync(clock_->now()); },
-      [&](int, double) { file_.RecordRetry(/*is_write=*/true); });
+  return raw_.Sync();
 }
 
 }  // namespace netcdf

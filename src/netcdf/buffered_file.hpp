@@ -18,11 +18,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "format/commit_pfs.hpp"
 #include "format/sums.hpp"
 #include "pfs/pfs.hpp"
 #include "simmpi/clock.hpp"
 #include "util/bytes.hpp"
-#include "util/retry.hpp"
 #include "util/status.hpp"
 
 namespace netcdf {
@@ -59,19 +59,16 @@ class BufferedFile {
 
  private:
   pnc::Status LoadBlock(std::uint64_t block_start);
-  /// Bounded retry over the fault-injected pfs path (see mpiio's RetryIo;
-  /// the serial library applies the same policy without MPI hints), plus
-  /// the integrity hooks of the attached chunk-sum map.
+  /// A physical transfer plus the integrity hooks of the attached chunk-sum
+  /// map.
   pnc::Status RetryIo(bool is_write, std::uint64_t offset, std::byte* data,
                       std::uint64_t len);
-  /// The transfer alone, no integrity hooks (used by verification
-  /// re-reads to avoid recursion).
-  pnc::Status RawIo(bool is_write, std::uint64_t offset, std::byte* data,
-                    std::uint64_t len);
 
-  pfs::File file_;
+  /// The unbuffered path: bounded retry over the fault-injected pfs calls
+  /// (the commit journal's adapter; mpiio applies the same policy with MPI
+  /// hints), no integrity hooks — verification re-reads use it directly.
+  ncformat::PfsCommitIo raw_;
   simmpi::VirtualClock* clock_;
-  pnc::util::RetryPolicy retry_;  ///< defaults + PNC_RETRY_* env (rank 0)
   ncformat::ChunkSumMap* sums_ = nullptr;
   bool sums_verify_ = false;
   std::uint64_t bufsize_;

@@ -1,7 +1,6 @@
 #include "netcdf/dataset.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "format/commit.hpp"
 #include "format/commit_pfs.hpp"
@@ -20,7 +19,9 @@ struct Dataset::Impl {
   Impl(pfs::FileSystem* filesystem, pfs::File f, std::string p, bool w,
        std::uint64_t bufsize)
       : fs(filesystem), path(std::move(p)), writable(w),
-        io(std::move(f), &clock, bufsize) {}
+        io(std::move(f), &clock, bufsize) {
+    sums.writable = w;
+  }
 
   pfs::FileSystem* fs;
   std::string path;
@@ -39,7 +40,7 @@ struct Dataset::Impl {
   // Crash consistency: the sidecar commit journal and the last committed
   // state (see format/commit.hpp). Absent for legacy files opened without a
   // journal — those keep the pre-journal in-place update behaviour.
-  std::optional<ncformat::PfsCommitIo> journal;
+  std::unique_ptr<ncformat::PfsCommitIo> journal;
   std::optional<ncformat::CommitState> commit;
 
   // Data integrity (format/sums.hpp): the chunk-sum map attached to `io`
@@ -48,50 +49,27 @@ struct Dataset::Impl {
   // are bit-identical to a build without the subsystem. The serial
   // library is single-writer, so verify-on-read is safe even in writable
   // sessions: this session's own writes are exactly the dirty set.
-  std::optional<ncformat::PfsCommitIo> sums_io;
-  ncformat::ChunkSumMap sums;
-  ncformat::SumsState sums_state;
-  bool sums_on = false;
+  ncformat::SumsSession sums;
   bool data_corrupt = false;  ///< sticky: a read surfaced kDataCorrupt
 
   pnc::Status FlushSums(bool closing);
   pnc::Status SetupOpenSums(bool open_writable);
 };
 
-namespace {
-
-/// First byte of the data region: the lowest variable begin offset.
-/// 0 when no variables exist (the file has no data region yet).
-std::uint64_t DataBeginOf(const Header& h) {
-  std::uint64_t db = 0;
-  bool first = true;
-  for (const auto& v : h.vars) {
-    if (first || v.begin < db) db = v.begin;
-    first = false;
-  }
-  return first ? 0 : db;
-}
-
-}  // namespace
-
-/// Fold this session's checksum pieces into the map (format/sums.hpp:
-/// ResolvePieces), re-read only the chunks they do not tile, and commit
-/// the map through the `.ncsum` sidecar. `closing` clears the session-open
-/// marker, making the table trustworthy for later opens; a mid-session
-/// flush keeps it open so a later crash still degrades to "unsummed".
+/// Fold this session's checksum pieces into the map, re-read only the
+/// chunks they do not tile, and commit the map through the `.ncsum`
+/// sidecar (format/sums.hpp: SumsSession). `closing` clears the
+/// session-open marker; a read-only session commits nothing.
 pnc::Status Dataset::Impl::FlushSums(bool closing) {
-  if (!sums_on || !sums_io) return pnc::Status::Ok();
-  if (sums.chunk_size() != 0) {
-    const std::uint64_t fsize = io.size();
-    const std::vector<std::uint64_t> reread =
-        sums.ResolvePieces(sums.pieces(), sums.unsummed(), fsize);
-    PNC_RETURN_IF_ERROR(ncformat::ResumChunks(
-        sums, reread, fsize, [this](std::uint64_t o, pnc::ByteSpan out) {
-          return io.ReadUncached(o, out);
-        }));
-    sums.ClearDirty();
-  }
-  return ncformat::CommitSums(*sums_io, sums, /*open=*/!closing, &sums_state);
+  if (!sums.commits()) return pnc::Status::Ok();
+  PNC_RETURN_IF_ERROR(sums.Settle(
+      sums.map.pieces(), sums.map.unsummed(), io.size(),
+      [this](std::uint64_t o, pnc::ByteSpan out) {
+        return io.ReadUncached(o, out);
+      }));
+  sums.map.ClearDirty();
+  return ncformat::CommitSums(*sums.io, sums.map, /*open=*/!closing,
+                              &sums.state);
 }
 
 /// Arm the integrity subsystem for an opened (not freshly created) dataset.
@@ -103,35 +81,11 @@ pnc::Status Dataset::Impl::SetupOpenSums(bool open_writable) {
   const std::string spath = ncformat::SumsPath(path);
   const bool existed = fs->Exists(spath);
   if (!existed && !open_writable) return pnc::Status::Ok();
-  auto sf = existed ? fs->Open(spath) : fs->Create(spath, /*exclusive=*/false);
-  if (!sf.ok()) return sf.status();
-  sf.value().SetTenant(tenant);
-  sums_io.emplace(std::move(sf).value(), &clock);
-  if (!existed) PNC_RETURN_IF_ERROR(ncformat::FormatSums(*sums_io));
-  auto loaded = ncformat::LoadSums(*sums_io);
-  if (!loaded.ok()) return loaded.status();
-  sums_state = loaded.value().state;
-  const std::uint64_t db = DataBeginOf(header);
-  // A sidecar whose recorded geometry disagrees with the live header (e.g.
-  // stale after an out-of-band rewrite of the primary) is discarded rather
-  // than risking false corruption verdicts.
-  const bool trusted =
-      loaded.value().trusted && loaded.value().map.data_begin() == db;
-  if (trusted) {
-    sums = std::move(loaded.value().map);
-  } else {
-    sums.Clear();
-    sums.SetGeometry(ncformat::SumChunkSize(), db);
-  }
-  if (open_writable) {
-    PNC_RETURN_IF_ERROR(
-        ncformat::CommitSums(*sums_io, sums, /*open=*/true, &sums_state));
-  } else if (!trusted) {
-    sums_io.reset();  // nothing trustworthy to verify against
-    return pnc::Status::Ok();
-  }
-  sums_on = true;
-  io.AttachSums(&sums, /*verify=*/true);
+  PNC_ASSIGN_OR_RETURN(sums.io, ncformat::OpenSidecar(*fs, spath, !existed,
+                                                     tenant, &clock));
+  PNC_ASSIGN_OR_RETURN(const bool armed,
+                       sums.Open(!existed, ncformat::SumsOrigin(header)));
+  if (armed) io.AttachSums(&sums.map, /*verify=*/true);
   return pnc::Status::Ok();
 }
 
@@ -156,22 +110,20 @@ pnc::Result<Dataset> Dataset::Create(pfs::FileSystem& fs,
   im.fresh = true;
   // Create-and-format the sidecar journal, truncating any stale one left by
   // a previous file at this path so its commits can never be replayed.
-  auto jf = fs.Create(ncformat::JournalPath(path), /*exclusive=*/false);
-  if (!jf.ok()) return jf.status();
-  jf.value().SetTenant(tenant);
-  im.journal.emplace(std::move(jf).value(), &im.clock);
-  PNC_RETURN_IF_ERROR(ncformat::FormatJournal(*im.journal));
+  PNC_ASSIGN_OR_RETURN(
+      im.journal,
+      ncformat::OpenSidecar(fs, ncformat::JournalPath(path), /*create=*/true,
+                            tenant, &im.clock, ncformat::FormatJournal));
   // Same for the chunk-sum sidecar: format (wiping any stale table) and
   // attach. No geometry yet — EndDef sets it once the data region exists.
   // Nothing is committed before then, so a crash leaves it untrusted.
   if (ncformat::SumsEnabled()) {
-    auto sf = fs.Create(ncformat::SumsPath(path), /*exclusive=*/false);
-    if (!sf.ok()) return sf.status();
-    sf.value().SetTenant(tenant);
-    im.sums_io.emplace(std::move(sf).value(), &im.clock);
-    PNC_RETURN_IF_ERROR(ncformat::FormatSums(*im.sums_io));
-    im.sums_on = true;
-    im.io.AttachSums(&im.sums, /*verify=*/true);
+    PNC_ASSIGN_OR_RETURN(
+        im.sums.io,
+        ncformat::OpenSidecar(fs, ncformat::SumsPath(path), /*create=*/true,
+                              tenant, &im.clock, ncformat::FormatSums));
+    im.sums.on = true;
+    im.io.AttachSums(&im.sums.map, /*verify=*/true);
   }
   return ds;
 }
@@ -192,44 +144,30 @@ pnc::Result<Dataset> Dataset::Open(pfs::FileSystem& fs, const std::string& path,
   // exists and holds a committed state the primary does not match, roll the
   // primary back/forward to it (in place when writable; in memory only for a
   // read-only open).
-  std::optional<Header> recovered;
+  ncformat::OpenRecovery rec;
   if (fs.Exists(ncformat::JournalPath(path))) {
-    auto jf = fs.Open(ncformat::JournalPath(path));
-    if (!jf.ok()) return jf.status();
-    jf.value().SetTenant(tenant);
-    im.journal.emplace(std::move(jf).value(), &im.clock);
+    PNC_ASSIGN_OR_RETURN(im.journal,
+                         ncformat::OpenSidecar(fs, ncformat::JournalPath(path),
+                                               /*create=*/false, tenant,
+                                               &im.clock));
     ncformat::PfsCommitIo primary(f.value(), &im.clock);
-    auto rep = ncformat::AnalyzeCommit(*im.journal, primary);
-    if (!rep.ok()) return rep.status();
-    const ncformat::VerifyReport& r = rep.value();
-    if (r.has_commit) im.commit = r.committed;
-    if (r.state == ncformat::FileState::kCorrupt && r.has_commit)
-      return pnc::Status(pnc::Err::kNotNc, "unrecoverable: " + r.detail);
-    if (r.state == ncformat::FileState::kTornRecoverable) {
-      if (writable) {
-        PNC_RETURN_IF_ERROR(ncformat::RepairFromReport(r, primary));
-      } else {
-        auto h = Header::Decode(r.committed_header);
-        if (!h.ok()) return h.status();
-        recovered = std::move(h).value();
-      }
-    }
+    PNC_ASSIGN_OR_RETURN(
+        rec, ncformat::RecoverAtOpen(*im.journal, primary, writable));
+    im.commit = rec.commit;
   }
-
-  if (recovered) {
-    // Torn primary, recovered in memory only: the on-disk bytes do not
-    // match what this session sees, so attaching sums (written against the
-    // repaired view) could only mislead. Run without them.
-    im.header = *std::move(recovered);
-    return ds;
-  }
-  auto hdr = ncformat::ReadHeader(
-      im.io.size(), [&im](std::uint64_t off, pnc::ByteSpan out) {
-        PNC_IOSTAT_ADD(kNcHeaderBytesRead, out.size());
-        return im.io.ReadAt(off, out);
-      });
-  if (!hdr.ok()) return hdr.status();
-  im.header = std::move(hdr).value();
+  PNC_ASSIGN_OR_RETURN(
+      im.header,
+      !rec.recovered.empty()
+          ? Header::Decode(rec.recovered)
+          : ncformat::ReadHeader(
+                im.io.size(), [&im](std::uint64_t off, pnc::ByteSpan out) {
+                  PNC_IOSTAT_ADD(kNcHeaderBytesRead, out.size());
+                  return im.io.ReadAt(off, out);
+                }));
+  // Torn primary, recovered in memory only: the on-disk bytes do not match
+  // what this session sees, so attaching sums (written against the
+  // repaired view) could only mislead. Run without them.
+  if (!rec.recovered.empty()) return ds;
   PNC_RETURN_IF_ERROR(im.SetupOpenSums(writable));
   return ds;
 }
@@ -250,42 +188,15 @@ pnc::Status Dataset::EndDef() {
   auto& im = *impl_;
   if (!im.defining) return pnc::Status(pnc::Err::kNotInDefine);
 
-  Header old = im.pre_redef ? *im.pre_redef : Header{};
-  const bool had_data = !im.fresh;
-  // Keep the existing data_begin when the grown header still fits in front
-  // of it: besides saving the copy, an in-place relayout is the one case the
-  // commit protocol cannot make atomic (moves are interpreted by whichever
-  // header survives the crash), so not moving is also the crash-safe choice.
-  std::uint64_t min_begin = 0;
-  if (had_data && im.pre_redef &&
-      im.header.EncodedSize() <= im.pre_redef->data_begin())
-    min_begin = im.pre_redef->data_begin();
-  PNC_RETURN_IF_ERROR(im.header.ComputeLayout(min_begin));
-  // Sum geometry follows the (possibly moved) data region. Set it before
-  // the moves/fills below so their writes record pieces in the new
-  // geometry; when the region moved, every committed sum is stale, so
-  // re-read all existing bytes at the next flush.
-  if (im.sums_on) {
-    const std::uint64_t db = DataBeginOf(im.header);
-    if (im.sums.chunk_size() == 0 || im.sums.data_begin() != db) {
-      const std::uint64_t cs = im.sums.chunk_size() != 0
-                                   ? im.sums.chunk_size()
-                                   : ncformat::SumChunkSize();
-      im.sums.Clear();
-      im.sums.SetGeometry(cs, db);
-      if (had_data && im.io.size() > db)
-        im.sums.MarkUnsummed(db, im.io.size() - db);
-    }
-  }
-  if (had_data && im.pre_redef) {
-    PNC_RETURN_IF_ERROR(MoveDataForRelayout(*im.pre_redef));
-  }
+  // The header at Redef; null for a dataset created this session.
+  const Header* before = im.pre_redef ? &*im.pre_redef : nullptr;
+  PNC_RETURN_IF_ERROR(im.header.ComputeLayoutAfter(before));
+  im.sums.Rebase(ncformat::SumsOrigin(im.header), im.fresh ? 0 : im.io.size());
+  if (before) PNC_RETURN_IF_ERROR(MoveDataForRelayout(*before));
   // Data first, metadata last: fills and moved bytes land before the header
   // that makes them reachable commits, so a crash anywhere in between still
   // cold-opens as the old dataset.
-  if (im.fill == FillMode::kFill) {
-    PNC_RETURN_IF_ERROR(FillNewSpace(had_data ? &old : nullptr));
-  }
+  if (im.fill == FillMode::kFill) PNC_RETURN_IF_ERROR(FillNewSpace(before));
   PNC_RETURN_IF_ERROR(WriteHeader());
   im.defining = false;
   im.fresh = false;
@@ -309,7 +220,10 @@ pnc::Status Dataset::Close() {
   auto& im = *impl_;
   if (im.defining) PNC_RETURN_IF_ERROR(EndDef());
   if (im.numrecs_dirty) PNC_RETURN_IF_ERROR(WriteNumrecs());
-  PNC_RETURN_IF_ERROR(im.journal ? im.io.Sync() : im.io.Flush());
+  // A read-only session has nothing to make durable: it issues no sync and,
+  // below, commits no sums.
+  PNC_RETURN_IF_ERROR(im.journal && im.writable ? im.io.Sync()
+                                                : im.io.Flush());
   // Final flush commits the table closed: only a session that reached this
   // point hands trustworthy sums to the next open. A sticky corrupt read
   // is re-reported here so a caller that ignored the data call cannot
@@ -326,7 +240,7 @@ pnc::Status Dataset::Abort() {
   auto& im = *impl_;
   if (im.defining && im.fresh) {
     (void)im.fs->Remove(ncformat::JournalPath(im.path));
-    if (im.sums_io) (void)im.fs->Remove(ncformat::SumsPath(im.path));
+    if (im.sums.io) (void)im.fs->Remove(ncformat::SumsPath(im.path));
     return im.fs->Remove(im.path);
   }
   if (im.defining && im.pre_redef) {
@@ -362,100 +276,34 @@ pnc::Status Dataset::CheckDataMode(bool need_write) const {
 
 pnc::Result<int> Dataset::DefDim(const std::string& name, std::uint64_t len) {
   PNC_RETURN_IF_ERROR(CheckDefineMode());
-  auto& h = impl_->header;
-  if (h.FindDim(name) >= 0) return pnc::Status(pnc::Err::kNameInUse, name);
-  if (len == kUnlimited && h.unlimited_dimid() >= 0)
-    return pnc::Status(pnc::Err::kUnlimit, name);
-  if (h.dims.size() >= ncformat::kMaxDims)
-    return pnc::Status(pnc::Err::kMaxDims);
-  h.dims.push_back({name, len});
-  return static_cast<int>(h.dims.size()) - 1;
+  return impl_->header.DefDim(name, len);
 }
 
 pnc::Result<int> Dataset::DefVar(const std::string& name, NcType type,
                                  std::vector<std::int32_t> dimids) {
   PNC_RETURN_IF_ERROR(CheckDefineMode());
-  auto& h = impl_->header;
-  if (h.FindVar(name) >= 0) return pnc::Status(pnc::Err::kNameInUse, name);
-  if (h.vars.size() >= ncformat::kMaxVars)
-    return pnc::Status(pnc::Err::kMaxVars);
-  if (!ncformat::IsValidType(static_cast<std::int32_t>(type)))
-    return pnc::Status(pnc::Err::kBadType, name);
-  ncformat::Var v;
-  v.name = name;
-  v.type = type;
-  v.dimids = std::move(dimids);
-  for (std::size_t i = 0; i < v.dimids.size(); ++i) {
-    const auto d = v.dimids[i];
-    if (d < 0 || static_cast<std::size_t>(d) >= h.dims.size())
-      return pnc::Status(pnc::Err::kBadDim, name);
-    if (h.dims[static_cast<std::size_t>(d)].is_unlimited() && i != 0)
-      return pnc::Status(pnc::Err::kUnlimPos, name);
-  }
-  h.vars.push_back(std::move(v));
-  return static_cast<int>(h.vars.size()) - 1;
+  return impl_->header.DefVar(name, type, std::move(dimids));
 }
 
 pnc::Status Dataset::RenameDim(int dimid, const std::string& name) {
   PNC_RETURN_IF_ERROR(CheckDefineMode());
-  auto& h = impl_->header;
-  if (dimid < 0 || static_cast<std::size_t>(dimid) >= h.dims.size())
-    return pnc::Status(pnc::Err::kBadDim);
-  if (h.FindDim(name) >= 0) return pnc::Status(pnc::Err::kNameInUse, name);
-  h.dims[static_cast<std::size_t>(dimid)].name = name;
-  return pnc::Status::Ok();
+  return impl_->header.RenameDim(dimid, name);
 }
 
 pnc::Status Dataset::RenameVar(int varid, const std::string& name) {
   PNC_RETURN_IF_ERROR(CheckDefineMode());
-  auto& h = impl_->header;
-  if (varid < 0 || static_cast<std::size_t>(varid) >= h.vars.size())
-    return pnc::Status(pnc::Err::kNotVar);
-  if (h.FindVar(name) >= 0) return pnc::Status(pnc::Err::kNameInUse, name);
-  h.vars[static_cast<std::size_t>(varid)].name = name;
-  return pnc::Status::Ok();
+  return impl_->header.RenameVar(varid, name);
 }
 
 // ------------------------------------------------------------ attributes
-
-namespace {
-pnc::Result<std::vector<Attr>*> AttrListOf(Header& h, int varid) {
-  if (varid == kGlobal) return &h.gatts;
-  if (varid < 0 || static_cast<std::size_t>(varid) >= h.vars.size())
-    return pnc::Status(pnc::Err::kNotVar);
-  return &h.vars[static_cast<std::size_t>(varid)].attrs;
-}
-}  // namespace
 
 pnc::Status Dataset::PutAtt(int varid, Attr att) {
   if (!impl_) return pnc::Status(pnc::Err::kBadId);
   auto& im = *impl_;
   if (!im.writable) return pnc::Status(pnc::Err::kPermission);
-  PNC_ASSIGN_OR_RETURN(std::vector<Attr>* attrs, AttrListOf(im.header, varid));
-  const int existing =
-      [&] {
-        for (std::size_t i = 0; i < attrs->size(); ++i)
-          if ((*attrs)[i].name == att.name) return static_cast<int>(i);
-        return -1;
-      }();
-  if (!im.defining) {
-    // Data mode: only replacing an existing attribute without growing it is
-    // allowed (the header cannot expand without a relayout).
-    if (existing < 0) return pnc::Status(pnc::Err::kNotInDefine, att.name);
-    const auto& old = (*attrs)[static_cast<std::size_t>(existing)];
-    if (att.type != old.type || att.data.size() > old.data.size())
-      return pnc::Status(pnc::Err::kNotInDefine, att.name);
-    (*attrs)[static_cast<std::size_t>(existing)] = std::move(att);
-    return WriteHeader();
-  }
-  if (existing >= 0) {
-    (*attrs)[static_cast<std::size_t>(existing)] = std::move(att);
-  } else {
-    if (attrs->size() >= ncformat::kMaxAttrs)
-      return pnc::Status(pnc::Err::kMaxAtts);
-    attrs->push_back(std::move(att));
-  }
-  return pnc::Status::Ok();
+  PNC_RETURN_IF_ERROR(im.header.PutAtt(varid, std::move(att), im.defining));
+  // A data-mode replacement rewrites the (same-size) header in place.
+  return im.defining ? pnc::Status::Ok() : WriteHeader();
 }
 
 pnc::Status Dataset::PutAttText(int varid, const std::string& name,
@@ -465,38 +313,18 @@ pnc::Status Dataset::PutAttText(int varid, const std::string& name,
 
 pnc::Result<Attr> Dataset::GetAtt(int varid, const std::string& name) const {
   if (!impl_) return pnc::Status(pnc::Err::kBadId);
-  PNC_ASSIGN_OR_RETURN(std::vector<Attr>* attrs,
-                       AttrListOf(impl_->header, varid));
-  for (const auto& a : *attrs)
-    if (a.name == name) return a;
-  return pnc::Status(pnc::Err::kNotAtt, name);
+  return impl_->header.GetAtt(varid, name);
 }
 
 pnc::Status Dataset::DelAtt(int varid, const std::string& name) {
   PNC_RETURN_IF_ERROR(CheckDefineMode());
-  PNC_ASSIGN_OR_RETURN(std::vector<Attr>* attrs,
-                       AttrListOf(impl_->header, varid));
-  auto it = std::find_if(attrs->begin(), attrs->end(),
-                         [&](const Attr& a) { return a.name == name; });
-  if (it == attrs->end()) return pnc::Status(pnc::Err::kNotAtt, name);
-  attrs->erase(it);
-  return pnc::Status::Ok();
+  return impl_->header.DelAtt(varid, name);
 }
 
 pnc::Status Dataset::RenameAtt(int varid, const std::string& old_name,
                                const std::string& new_name) {
   PNC_RETURN_IF_ERROR(CheckDefineMode());
-  PNC_ASSIGN_OR_RETURN(std::vector<Attr>* attrs,
-                       AttrListOf(impl_->header, varid));
-  for (const auto& a : *attrs)
-    if (a.name == new_name) return pnc::Status(pnc::Err::kNameInUse, new_name);
-  for (auto& a : *attrs) {
-    if (a.name == old_name) {
-      a.name = new_name;
-      return pnc::Status::Ok();
-    }
-  }
-  return pnc::Status(pnc::Err::kNotAtt, old_name);
+  return impl_->header.RenameAtt(varid, old_name, new_name);
 }
 
 // --------------------------------------------------------------- inquiry
@@ -509,15 +337,11 @@ int Dataset::unlimdim() const { return impl_->header.unlimited_dimid(); }
 std::uint64_t Dataset::numrecs() const { return impl_->header.numrecs; }
 
 pnc::Result<int> Dataset::DimId(const std::string& name) const {
-  const int id = impl_->header.FindDim(name);
-  if (id < 0) return pnc::Status(pnc::Err::kBadDim, name);
-  return id;
+  return impl_->header.DimId(name);
 }
 
 pnc::Result<int> Dataset::VarId(const std::string& name) const {
-  const int id = impl_->header.FindVar(name);
-  if (id < 0) return pnc::Status(pnc::Err::kNotVar, name);
-  return id;
+  return impl_->header.VarId(name);
 }
 
 simmpi::VirtualClock& Dataset::clock() { return impl_->clock; }
@@ -531,26 +355,20 @@ pnc::Status Dataset::PutExternal(int varid,
                                  pnc::ConstByteSpan external) {
   auto& im = *impl_;
   auto& h = im.header;
-  const std::string_view put_var =
-      varid >= 0 && varid < static_cast<int>(h.vars.size())
-          ? std::string_view(h.vars[static_cast<std::size_t>(varid)].name)
-          : std::string_view();
-  PNC_IOSTAT_REQ_SCOPE(stride.empty() ? "put_vara" : "put_vars", put_var,
-                       im.clock.now(), external.size(), 1);
+  PNC_IOSTAT_REQ_SCOPE(stride.empty() ? "put_vara" : "put_vars",
+                       h.VarName(varid), im.clock.now(), external.size(), 1);
 
   // Record growth bookkeeping (and fill of skipped records) first.
-  if (h.IsRecordVar(varid) && !count.empty() && count[0] > 0) {
-    const std::uint64_t st = stride.empty() ? 1 : stride[0];
-    const std::uint64_t last = start[0] + (count[0] - 1) * st + 1;
-    if (last > h.numrecs) {
-      const std::uint64_t old_recs = h.numrecs;
-      h.numrecs = last;
-      im.numrecs_dirty = true;
-      if (im.fill == FillMode::kFill) {
-        for (int v = 0; v < static_cast<int>(h.vars.size()); ++v)
-          if (h.IsRecordVar(v))
-            PNC_RETURN_IF_ERROR(FillVariable(v, old_recs, last));
-      }
+  const std::uint64_t last =
+      ncformat::RecordsTouched(h, varid, start, count, stride);
+  if (last > h.numrecs) {
+    const std::uint64_t old_recs = h.numrecs;
+    h.numrecs = last;
+    im.numrecs_dirty = true;
+    if (im.fill == FillMode::kFill) {
+      for (int v = 0; v < static_cast<int>(h.vars.size()); ++v)
+        if (h.IsRecordVar(v))
+          PNC_RETURN_IF_ERROR(FillVariable(v, old_recs, last));
     }
   }
 
@@ -572,13 +390,9 @@ pnc::Status Dataset::GetExternal(int varid,
                                  std::span<const std::uint64_t> stride,
                                  pnc::ByteSpan external) {
   auto& im = *impl_;
-  const std::string_view get_var =
-      varid >= 0 && varid < static_cast<int>(im.header.vars.size())
-          ? std::string_view(
-                im.header.vars[static_cast<std::size_t>(varid)].name)
-          : std::string_view();
-  PNC_IOSTAT_REQ_SCOPE(stride.empty() ? "get_vara" : "get_vars", get_var,
-                       im.clock.now(), external.size(), 0);
+  PNC_IOSTAT_REQ_SCOPE(stride.empty() ? "get_vara" : "get_vars",
+                       im.header.VarName(varid), im.clock.now(),
+                       external.size(), 0);
   PNC_IOSTAT_ADD(kNcDataCalls, 1);
   PNC_IOSTAT_ADD(kNcDataBytesRead, external.size());
   std::vector<pnc::Extent> regions;
@@ -597,8 +411,7 @@ pnc::Status Dataset::GetExternal(int varid,
 
 pnc::Status Dataset::WriteHeader() {
   auto& im = *impl_;
-  std::vector<std::byte> bytes;
-  im.header.Encode(bytes);
+  const std::vector<std::byte> bytes = im.header.Encode();
   if (im.journal) {
     // Data before metadata, then the journal commit (shadow, sync, slot,
     // sync), and only then the primary — which must itself be durable
@@ -628,10 +441,8 @@ pnc::Status Dataset::WriteNumrecs() {
         *im.journal, *im.commit, im.header.numrecs, &next));
     im.commit = next;
   }
-  std::byte buf[4];
-  const auto v = pnc::xdr::ToBig(static_cast<std::uint32_t>(im.header.numrecs));
-  std::memcpy(buf, &v, 4);
-  PNC_RETURN_IF_ERROR(im.io.WriteAt(4, pnc::ConstByteSpan(buf, 4)));
+  PNC_RETURN_IF_ERROR(
+      im.io.WriteAt(ncformat::kNumrecsOffset, im.header.NumrecsField()));
   PNC_IOSTAT_ADD(kNcHeaderBytesWritten, 4);
   if (im.journal) PNC_RETURN_IF_ERROR(im.io.Sync());
   im.numrecs_dirty = false;
@@ -642,57 +453,23 @@ pnc::Status Dataset::WriteNumrecs() {
 
 pnc::Status Dataset::MoveDataForRelayout(const Header& old_header) {
   auto& im = *impl_;
-  const Header& nh = im.header;
-
-  // Copy helper, chunked; safe because every move is to a strictly higher
-  // offset and we process moves from the highest new offset downward.
-  auto copy_region = [&](std::uint64_t from, std::uint64_t to,
-                         std::uint64_t len) -> pnc::Status {
-    if (from == to || len == 0) return pnc::Status::Ok();
-    constexpr std::uint64_t kChunk = 4ULL << 20;
-    std::vector<std::byte> buf(std::min(len, kChunk));
-    std::uint64_t done = 0;
-    while (done < len) {  // back to front within the region as well
-      const std::uint64_t n = std::min(kChunk, len - done);
-      const std::uint64_t off = len - done - n;
-      PNC_RETURN_IF_ERROR(im.io.ReadAt(from + off, pnc::ByteSpan(buf.data(), n)));
+  PNC_ASSIGN_OR_RETURN(const std::vector<ncformat::RelayoutMove> moves,
+                       ncformat::RelayoutPlan(old_header, im.header));
+  // Chunked, back to front within each move as well: a destination less
+  // than one chunk past its source overlaps the source's unread tail.
+  constexpr std::uint64_t kChunk = 4ULL << 20;
+  std::vector<std::byte> buf;
+  for (const auto& m : moves) {
+    buf.resize(std::min(m.len, kChunk));
+    for (std::uint64_t done = 0; done < m.len;) {
+      const std::uint64_t n = std::min(kChunk, m.len - done);
+      const std::uint64_t off = m.len - done - n;
       PNC_RETURN_IF_ERROR(
-          im.io.WriteAt(to + off, pnc::ConstByteSpan(buf.data(), n)));
+          im.io.ReadAt(m.from + off, pnc::ByteSpan(buf.data(), n)));
+      PNC_RETURN_IF_ERROR(
+          im.io.WriteAt(m.to + off, pnc::ConstByteSpan(buf.data(), n)));
       done += n;
     }
-    return pnc::Status::Ok();
-  };
-
-  struct Move {
-    std::uint64_t from, to, len;
-  };
-  std::vector<Move> moves;
-
-  // Record region: relocate record-by-record if either the base offset or
-  // the internal record layout changed.
-  const std::uint64_t nrecs = old_header.numrecs;
-  for (std::size_t i = 0; i < old_header.vars.size(); ++i) {
-    const auto& ov = old_header.vars[i];
-    const int nid = nh.FindVar(ov.name);
-    if (nid < 0) continue;  // vars cannot be deleted, but be defensive
-    const auto& nv = nh.vars[static_cast<std::size_t>(nid)];
-    if (old_header.IsRecordVar(static_cast<int>(i))) {
-      for (std::uint64_t r = 0; r < nrecs; ++r) {
-        moves.push_back({ov.begin + r * old_header.recsize(),
-                         nv.begin + r * nh.recsize(), ov.vsize});
-      }
-    } else {
-      moves.push_back({ov.begin, nv.begin, ov.vsize});
-    }
-  }
-  // Highest destination first: destinations never precede their sources
-  // (the header only grows), so this order never clobbers unmoved data.
-  std::sort(moves.begin(), moves.end(),
-            [](const Move& a, const Move& b) { return a.to > b.to; });
-  for (const auto& m : moves) {
-    if (m.to < m.from)
-      return pnc::Status(pnc::Err::kInternal, "relayout moved data backwards");
-    PNC_RETURN_IF_ERROR(copy_region(m.from, m.to, m.len));
   }
   return pnc::Status::Ok();
 }

@@ -28,7 +28,7 @@ namespace netcdf {
 /// Pass as the dimension length to DefDim for the unlimited dimension.
 constexpr std::uint64_t kUnlimited = 0;
 /// Pass as varid to the attribute functions for global attributes.
-constexpr int kGlobal = -1;
+constexpr int kGlobal = ncformat::kGlobal;
 
 /// Fill behaviour (nc_set_fill). Default here is NoFill: unwritten regions
 /// read back as zero bytes. Fill mode writes the classic fill values.
@@ -121,8 +121,9 @@ class Dataset {
   pnc::Status GetVars(int varid, std::span<const std::uint64_t> start,
                       std::span<const std::uint64_t> count,
                       std::span<const std::uint64_t> stride, std::span<T> out);
-  /// Mapped access: imap[d] = distance in elements between consecutive
-  /// indices of dimension d in the caller's memory.
+  /// Mapped access (ncformat::CheckImap/MapCopy): `imap` gives, per
+  /// dimension, the element distance between consecutive indices in the
+  /// caller's memory.
   template <typename T>
   pnc::Status PutVarm(int varid, std::span<const std::uint64_t> start,
                       std::span<const std::uint64_t> count,
@@ -183,11 +184,10 @@ pnc::Status Dataset::PutVars(int varid, std::span<const std::uint64_t> start,
                              std::span<const std::uint64_t> stride,
                              std::span<const T> data) {
   PNC_RETURN_IF_ERROR(CheckDataMode(/*need_write=*/true));
-  PNC_RETURN_IF_ERROR(ncformat::ValidateAccess(header(), varid, start, count,
-                                               stride,
-                                               ncformat::AccessKind::kWrite));
+  PNC_RETURN_IF_ERROR(ncformat::ValidateAccess(
+      header(), varid, start, count, stride, ncformat::AccessKind::kWrite,
+      data.size()));
   const std::uint64_t nelems = ncformat::AccessElems(count);
-  if (data.size() < nelems) return pnc::Status(pnc::Err::kInvalidArg, "buffer");
   const auto& v = header().vars[static_cast<std::size_t>(varid)];
   std::vector<std::byte> ext(nelems * ncformat::TypeSize(v.type));
   // NC_ERANGE semantics: conversion completes, the error is reported after
@@ -205,11 +205,10 @@ pnc::Status Dataset::GetVars(int varid, std::span<const std::uint64_t> start,
                              std::span<const std::uint64_t> stride,
                              std::span<T> out) {
   PNC_RETURN_IF_ERROR(CheckDataMode(/*need_write=*/false));
-  PNC_RETURN_IF_ERROR(ncformat::ValidateAccess(header(), varid, start, count,
-                                               stride,
-                                               ncformat::AccessKind::kRead));
+  PNC_RETURN_IF_ERROR(ncformat::ValidateAccess(
+      header(), varid, start, count, stride, ncformat::AccessKind::kRead,
+      out.size()));
   const std::uint64_t nelems = ncformat::AccessElems(count);
-  if (out.size() < nelems) return pnc::Status(pnc::Err::kInvalidArg, "buffer");
   const auto& v = header().vars[static_cast<std::size_t>(varid)];
   std::vector<std::byte> ext(nelems * ncformat::TypeSize(v.type));
   PNC_RETURN_IF_ERROR(GetExternal(varid, start, count, stride, ext));
@@ -223,21 +222,9 @@ pnc::Status Dataset::PutVarm(int varid, std::span<const std::uint64_t> start,
                              std::span<const std::uint64_t> imap,
                              std::span<const T> data) {
   if (imap.empty()) return PutVars<T>(varid, start, count, stride, data);
-  if (imap.size() != count.size())
-    return pnc::Status(pnc::Err::kInvalidArg, "imap rank");
-  const std::uint64_t nelems = ncformat::AccessElems(count);
-  std::vector<T> tmp(nelems);
-  // Gather from mapped memory into canonical row-major order.
-  std::vector<std::uint64_t> idx(count.size(), 0);
-  for (std::uint64_t e = 0; e < nelems; ++e) {
-    std::uint64_t m = 0;
-    for (std::size_t d = 0; d < count.size(); ++d) m += idx[d] * imap[d];
-    tmp[e] = data[m];
-    for (std::size_t d = count.size(); d-- > 0;) {
-      if (++idx[d] < count[d]) break;
-      idx[d] = 0;
-    }
-  }
+  PNC_RETURN_IF_ERROR(ncformat::CheckImap(count, imap));
+  std::vector<T> tmp(ncformat::AccessElems(count));
+  ncformat::MapCopy<T>(count, imap, data, tmp, /*gather=*/true);
   return PutVars<T>(varid, start, count, stride, std::span<const T>(tmp));
 }
 
@@ -248,21 +235,10 @@ pnc::Status Dataset::GetVarm(int varid, std::span<const std::uint64_t> start,
                              std::span<const std::uint64_t> imap,
                              std::span<T> out) {
   if (imap.empty()) return GetVars<T>(varid, start, count, stride, out);
-  if (imap.size() != count.size())
-    return pnc::Status(pnc::Err::kInvalidArg, "imap rank");
-  const std::uint64_t nelems = ncformat::AccessElems(count);
-  std::vector<T> tmp(nelems);
+  PNC_RETURN_IF_ERROR(ncformat::CheckImap(count, imap));
+  std::vector<T> tmp(ncformat::AccessElems(count));
   PNC_RETURN_IF_ERROR(GetVars<T>(varid, start, count, stride, std::span<T>(tmp)));
-  std::vector<std::uint64_t> idx(count.size(), 0);
-  for (std::uint64_t e = 0; e < nelems; ++e) {
-    std::uint64_t m = 0;
-    for (std::size_t d = 0; d < count.size(); ++d) m += idx[d] * imap[d];
-    out[m] = tmp[e];
-    for (std::size_t d = count.size(); d-- > 0;) {
-      if (++idx[d] < count[d]) break;
-      idx[d] = 0;
-    }
-  }
+  ncformat::MapCopy<T>(count, imap, tmp, out, /*gather=*/false);
   return pnc::Status::Ok();
 }
 
@@ -283,13 +259,7 @@ pnc::Status Dataset::GetVar1(int varid, std::span<const std::uint64_t> index,
 template <typename T>
 pnc::Status Dataset::PutVar(int varid, std::span<const T> data) {
   if (varid < 0 || varid >= nvars()) return pnc::Status(pnc::Err::kNotVar);
-  auto shape = header().VarShape(varid);
-  // Whole-variable put on a record variable with zero records: infer the
-  // record count from the data size, as the reference library does.
-  if (header().IsRecordVar(varid)) {
-    const std::uint64_t per_rec = header().VarInstanceElems(varid);
-    if (per_rec > 0) shape[0] = data.size() / per_rec;
-  }
+  const auto shape = header().PutVarShape(varid, data.size());
   std::vector<std::uint64_t> start(shape.size(), 0);
   return PutVars<T>(varid, start, shape, {}, data);
 }

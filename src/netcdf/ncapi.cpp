@@ -162,39 +162,10 @@ int nc_put_att_double(int ncid, int varid, const char* name, int xtype,
   auto* ds = Find(ncid);
   if (!ds) return kBadId;
   if (!ncformat::IsValidType(xtype) || xtype == NC_CHAR) return kBadTypeErr;
-  const auto type = static_cast<ncformat::NcType>(xtype);
-  // Convert through the external form so narrowing follows netCDF rules.
-  std::vector<std::byte> wire(len * ncformat::TypeSize(type));
-  pnc::Status conv =
-      ncformat::ToExternal<double>({op, len}, type, wire.data());
-  if (!conv.ok() && conv.code() != pnc::Err::kRange) return conv.raw();
   ncformat::Attr a;
-  a.name = name;
-  a.type = type;
-  a.data.resize(wire.size());
-  switch (type) {
-    case ncformat::NcType::kByte:
-      std::memcpy(a.data.data(), wire.data(), wire.size());
-      break;
-    case ncformat::NcType::kShort:
-      pnc::xdr::DecodeArray<std::int16_t>(
-          wire.data(), {reinterpret_cast<std::int16_t*>(a.data.data()), len});
-      break;
-    case ncformat::NcType::kInt:
-      pnc::xdr::DecodeArray<std::int32_t>(
-          wire.data(), {reinterpret_cast<std::int32_t*>(a.data.data()), len});
-      break;
-    case ncformat::NcType::kFloat:
-      pnc::xdr::DecodeArray<float>(
-          wire.data(), {reinterpret_cast<float*>(a.data.data()), len});
-      break;
-    case ncformat::NcType::kDouble:
-      pnc::xdr::DecodeArray<double>(
-          wire.data(), {reinterpret_cast<double*>(a.data.data()), len});
-      break;
-    case ncformat::NcType::kChar:
-      return kBadTypeErr;
-  }
+  const pnc::Status conv = ncformat::Attr::Convert<double>(
+      name, static_cast<ncformat::NcType>(xtype), {op, len}, &a);
+  if (!conv.ok() && conv.code() != pnc::Err::kRange) return conv.raw();
   pnc::Status st = ds->PutAtt(varid, std::move(a));
   return st.ok() ? conv.raw() : st.raw();
 }
@@ -204,36 +175,7 @@ int nc_get_att_double(int ncid, int varid, const char* name, double* ip) {
   if (!ds) return kBadId;
   auto r = ds->GetAtt(varid, name);
   if (!r.ok()) return r.status().raw();
-  const auto& a = r.value();
-  if (a.type == ncformat::NcType::kChar) return kBadTypeErr;
-  const std::size_t n = a.nelems();
-  std::vector<std::byte> wire(a.data.size());
-  switch (a.type) {
-    case ncformat::NcType::kByte:
-      std::memcpy(wire.data(), a.data.data(), a.data.size());
-      break;
-    case ncformat::NcType::kShort:
-      pnc::xdr::EncodeArray<std::int16_t>(
-          {reinterpret_cast<const std::int16_t*>(a.data.data()), n},
-          wire.data());
-      break;
-    case ncformat::NcType::kInt:
-      pnc::xdr::EncodeArray<std::int32_t>(
-          {reinterpret_cast<const std::int32_t*>(a.data.data()), n},
-          wire.data());
-      break;
-    case ncformat::NcType::kFloat:
-      pnc::xdr::EncodeArray<float>(
-          {reinterpret_cast<const float*>(a.data.data()), n}, wire.data());
-      break;
-    case ncformat::NcType::kDouble:
-      pnc::xdr::EncodeArray<double>(
-          {reinterpret_cast<const double*>(a.data.data()), n}, wire.data());
-      break;
-    case ncformat::NcType::kChar:
-      return kBadTypeErr;
-  }
-  return ncformat::FromExternal<double>(wire.data(), a.type, {ip, n}).raw();
+  return r.value().ValuesAs<double>({ip, r.value().nelems()}).raw();
 }
 
 int nc_inq_att(int ncid, int varid, const char* name, int* xtypep,

@@ -6,6 +6,7 @@
 
 #include "format/commit.hpp"
 #include "format/commit_pfs.hpp"
+#include "format/header_io.hpp"
 #include "format/sums.hpp"
 #include "iostat/events.hpp"
 #include "iostat/iostat.hpp"
@@ -20,7 +21,11 @@ struct Dataset::Impl {
   Impl(simmpi::Comm c, pfs::FileSystem* filesystem, mpiio::File f,
        std::string p, bool w, simmpi::Info i)
       : comm(std::move(c)), fs(filesystem), file(std::move(f)),
-        path(std::move(p)), writable(w), info(std::move(i)) {}
+        path(std::move(p)), writable(w), info(std::move(i)),
+        header_align(static_cast<std::uint64_t>(
+            info.GetInt("nc_header_align_size", 0))) {
+    sums.writable = w;
+  }
 
   simmpi::Comm comm;
   pfs::FileSystem* fs;
@@ -34,7 +39,10 @@ struct Dataset::Impl {
   bool fresh = false;
   bool indep = false;  ///< independent data mode active
   std::optional<Header> pre_redef;
-  std::uint64_t header_align = 0;  ///< nc_header_align_size hint
+  /// PnetCDF-level hint: align the start of the data section, leaving space
+  /// for the header to grow without relocating data (§4.2.2: PnetCDF hints
+  /// are interpreted by the library, the rest pass through to MPI-IO).
+  const std::uint64_t header_align;
 
   // Crash consistency (§4.2.1 pattern: the root performs the metadata I/O).
   // `journaled` is agreed on all ranks so the collective syncs that order
@@ -42,7 +50,7 @@ struct Dataset::Impl {
   // state live on rank 0 only. Absent for legacy files opened without a
   // journal — those keep the pre-journal in-place update behaviour.
   bool journaled = false;
-  std::optional<ncformat::PfsCommitIo> journal;
+  std::unique_ptr<ncformat::PfsCommitIo> journal;
   std::optional<ncformat::CommitState> commit;
 
   // Sticky degradation under an armed rank-fault schedule: once any
@@ -53,19 +61,17 @@ struct Dataset::Impl {
   bool rank_failed = false;
 
   // Data integrity (format/sums.hpp). Mirrors the journal: the sidecar
-  // handle and committed state live on rank 0, `sums_on` is agreed on all
+  // handle and committed state live on rank 0, `sums.on` is agreed on all
   // ranks, and every rank holds an identical committed map plus the
   // checksum pieces of its own writes since the last flush. Verification
   // is attached only for read-only opens: in a writable parallel session a
   // peer's write invalidates chunks this rank cannot see, so inline
-  // verification would flag fresh peer data as corrupt. Writable sessions maintain the map only; scrub and later
-  // read-only opens get the protection. Disabled under an armed rank-fault
-  // schedule (the flush gather is not fault tolerant) — the sidecar then
-  // stays session-open, i.e. untrusted, never wrong.
-  bool sums_on = false;
-  ncformat::ChunkSumMap sums;
-  std::optional<ncformat::PfsCommitIo> sums_io;  ///< rank 0 only
-  ncformat::SumsState sums_state;                ///< rank 0 only
+  // verification would flag fresh peer data as corrupt. Writable sessions
+  // maintain the map only; scrub and later read-only opens get the
+  // protection. Disabled under an armed rank-fault schedule (the flush
+  // gather is not fault tolerant) — the sidecar then stays session-open,
+  // i.e. untrusted, never wrong.
+  ncformat::SumsSession sums;
   bool data_corrupt = false;  ///< sticky: a read surfaced kDataCorrupt
 
   pnc::Status SetupOpenSums(bool open_writable, bool root_torn);
@@ -73,12 +79,6 @@ struct Dataset::Impl {
 };
 
 namespace {
-
-std::vector<std::byte> EncodeHeader(const Header& h) {
-  std::vector<std::byte> bytes;
-  h.Encode(bytes);
-  return bytes;
-}
 
 // ---------------------------------------------- rank-fault tolerance
 // Taken only when a rank-fault schedule is armed on the communicator: the
@@ -106,20 +106,20 @@ pnc::Status FtAgreeMin(Dataset::Impl& im, std::int64_t v, std::int64_t* out) {
   return pnc::Status::Ok();
 }
 
-pnc::Status FtBarrier(Dataset::Impl& im) { return FtAgreeMin(im, 0, nullptr); }
-
-/// Root-broadcast substitute for scalars: peers contribute the +inf
-/// sentinel, so the min-fold delivers the root's value verbatim.
-pnc::Status FtRootValue(Dataset::Impl& im, std::int64_t root_v,
-                        std::int64_t* out) {
-  return FtAgreeMin(im, im.comm.rank() == 0 ? root_v : kI64Max, out);
-}
-
-/// Max-fold via the negated min-fold.
-pnc::Status FtAgreeMax(Dataset::Impl& im, std::int64_t v, std::int64_t* out) {
-  std::int64_t neg = 0;
-  const pnc::Status st = FtAgreeMin(im, -v, &neg);
-  if (out) *out = -neg;
+/// Agree on the minimum (`max`: the maximum) of `v` over the ranks: an
+/// allreduce or, when a rank-fault schedule is armed, the fault-tolerant
+/// min-fold (of -v for the maximum).
+template <typename T>
+pnc::Status AgreeFold(Dataset::Impl& im, T v, bool max, T* out) {
+  if (!im.comm.FaultsArmed()) {
+    *out = max ? im.comm.AllreduceMax<T>(v) : im.comm.AllreduceMin<T>(v);
+    return pnc::Status::Ok();
+  }
+  const std::int64_t sign = max ? -1 : 1;
+  std::int64_t folded = 0;
+  const pnc::Status st =
+      FtAgreeMin(im, sign * static_cast<std::int64_t>(v), &folded);
+  *out = static_cast<T>(sign * folded);
   return st;
 }
 
@@ -157,24 +157,44 @@ std::int64_t HashBytes(const std::vector<std::byte>& b) {
   return static_cast<std::int64_t>(h >> 1);
 }
 
+/// Agree on the root's value of `v` (a status, a flag): a broadcast or,
+/// when a rank-fault schedule is armed, the min-fold to which peers
+/// contribute the +inf sentinel, so it delivers the root's value verbatim.
+pnc::Status AgreeRoot(Dataset::Impl& im, int* v) {
+  if (!im.comm.FaultsArmed()) {
+    im.comm.BcastValue(*v, 0);
+    return pnc::Status::Ok();
+  }
+  std::int64_t agreed = 0;
+  PNC_RETURN_IF_ERROR(
+      FtAgreeMin(im, im.comm.rank() == 0 ? *v : kI64Max, &agreed));
+  *v = static_cast<int>(agreed);
+  return pnc::Status::Ok();
+}
+
+/// A barrier, fault tolerant when a rank-fault schedule is armed.
+pnc::Status AgreeBarrier(Dataset::Impl& im) {
+  if (im.comm.FaultsArmed()) return FtAgreeMin(im, 0, nullptr);
+  im.comm.Barrier();
+  return pnc::Status::Ok();
+}
+
+/// The §4.2.1 root-performs-then-agrees tail: every rank returns the root's
+/// status `err` (context `what`), and on success all meet at a barrier —
+/// reached by everyone or no one.
+pnc::Status AgreeRootStatus(Dataset::Impl& im, int err,
+                            const std::string& what) {
+  PNC_RETURN_IF_ERROR(AgreeRoot(im, &err));
+  if (err != 0) return pnc::Status(static_cast<pnc::Err>(err), what);
+  return AgreeBarrier(im);
+}
+
 /// Sticky degradation for statuses coming back from the mpiio layer's own
 /// failure agreement (two-phase, Sync, SetView...).
 pnc::Status Track(Dataset::Impl& im, pnc::Status st) {
   if (st.code() == pnc::Err::kRankFailed) im.rank_failed = true;
   if (st.code() == pnc::Err::kDataCorrupt) im.data_corrupt = true;
   return st;
-}
-
-/// First byte of the data region: the lowest variable begin offset.
-/// 0 when no variables exist (the file has no data region yet).
-std::uint64_t DataBeginOf(const Header& h) {
-  std::uint64_t db = 0;
-  bool first = true;
-  for (const auto& v : h.vars) {
-    if (first || v.begin < db) db = v.begin;
-    first = false;
-  }
-  return first ? 0 : db;
 }
 
 }  // namespace
@@ -190,55 +210,22 @@ pnc::Status Dataset::Impl::SetupOpenSums(bool open_writable, bool root_torn) {
   int err = 0;
   int verify = 0;
   std::vector<std::byte> table;
-  if (comm.rank() == 0) {
+  if (comm.rank() == 0 && !root_torn) {
     const std::string spath = ncformat::SumsPath(path);
     const bool existed = fs->Exists(spath);
-    do {
-      if (root_torn) break;
-      if (!existed && !open_writable) break;
-      auto sf =
-          existed ? fs->Open(spath) : fs->Create(spath, /*exclusive=*/false);
-      if (!sf.ok()) {
-        err = sf.status().raw();
-        break;
-      }
-      sf.value().SetTenant(file.tenant());
-      sums_io.emplace(std::move(sf).value(), &comm.clock());
-      if (!existed) {
-        const pnc::Status fst = ncformat::FormatSums(*sums_io);
-        if (!fst.ok()) {
-          err = fst.raw();
-          break;
-        }
-      }
-      auto loaded = ncformat::LoadSums(*sums_io);
-      if (!loaded.ok()) {
-        err = loaded.status().raw();
-        break;
-      }
-      sums_state = loaded.value().state;
-      const std::uint64_t db = DataBeginOf(header);
-      // A sidecar whose recorded geometry disagrees with the live header is
-      // discarded rather than risking false corruption verdicts.
-      const bool trusted =
-          loaded.value().trusted && loaded.value().map.data_begin() == db;
-      if (trusted) {
-        sums = std::move(loaded.value().map);
-      } else {
-        sums.Clear();
-        sums.SetGeometry(ncformat::SumChunkSize(), db);
-      }
-      if (open_writable) {
-        err = ncformat::CommitSums(*sums_io, sums, /*open=*/true, &sums_state)
-                  .raw();
-        if (err != 0) break;
-      } else if (!trusted) {
-        sums_io.reset();
-        break;
-      }
-      verify = !open_writable && trusted ? 1 : 0;
-      table = sums.EncodeTable();
-    } while (false);
+    const auto armed = [&]() -> pnc::Result<bool> {
+      if (!existed && !open_writable) return false;
+      PNC_ASSIGN_OR_RETURN(sums.io,
+                           ncformat::OpenSidecar(*fs, spath, !existed,
+                                                 file.tenant(), &comm.clock()));
+      return sums.Open(!existed, ncformat::SumsOrigin(header));
+    }();
+    if (!armed.ok()) {
+      err = armed.status().raw();
+    } else if (armed.value()) {
+      verify = open_writable ? 0 : 1;
+      table = sums.map.EncodeTable();
+    }
   }
   comm.BcastValue(err, 0);
   if (err != 0)
@@ -248,11 +235,11 @@ pnc::Status Dataset::Impl::SetupOpenSums(bool open_writable, bool root_torn) {
   if (comm.rank() != 0) {
     auto m = ncformat::ChunkSumMap::DecodeTable(table);
     if (!m.ok()) return m.status();
-    sums = std::move(m).value();
+    sums.map = std::move(m).value();
   }
   comm.BcastValue(verify, 0);
-  sums_on = true;
-  file.AttachSums(&sums, verify != 0);
+  sums.on = true;
+  file.AttachSums(&sums.map, verify != 0);
   return pnc::Status::Ok();
 }
 
@@ -265,8 +252,9 @@ pnc::Status Dataset::Impl::SetupOpenSums(bool open_writable, bool root_torn) {
 /// closing). The result is broadcast so every rank resumes from the
 /// identical committed map.
 pnc::Status Dataset::Impl::FlushSums(bool closing) {
-  if (!sums_on || !writable) return pnc::Status::Ok();
-  const std::vector<std::byte> pending = sums.EncodePending();
+  if (!sums.commits()) return pnc::Status::Ok();
+  auto& map = sums.map;
+  const std::vector<std::byte> pending = map.EncodePending();
   auto gathered = comm.Gather(pnc::ConstByteSpan(pending), 0);
   file.ClearView();
   int err = 0;
@@ -275,34 +263,28 @@ pnc::Status Dataset::Impl::FlushSums(bool closing) {
     std::set<std::uint64_t> unsummed;
     for (const auto& blob : gathered)
       ncformat::ChunkSumMap::DecodePending(blob, &pieces, &unsummed);
-    pnc::Status st = pnc::Status::Ok();
-    if (sums.chunk_size() != 0) {
-      const std::uint64_t fsize =
-          file.GetSize().ok() ? file.GetSize().value() : 0;
-      const std::vector<std::uint64_t> reread =
-          sums.ResolvePieces(std::move(pieces), unsummed, fsize);
-      st = ncformat::ResumChunks(
-          sums, reread, fsize, [this](std::uint64_t o, pnc::ByteSpan out) {
-            return file.ReadAt(o, out.data(), out.size(), simmpi::ByteType());
-          });
-    }
-    if (st.ok() && sums_io)
-      st = ncformat::CommitSums(*sums_io, sums, /*open=*/!closing,
-                                &sums_state);
+    pnc::Status st = sums.Settle(
+        std::move(pieces), unsummed,
+        file.GetSize().ok() ? file.GetSize().value() : 0,
+        [this](std::uint64_t o, pnc::ByteSpan out) {
+          return file.ReadAt(o, out.data(), out.size(), simmpi::ByteType());
+        });
+    if (st.ok() && sums.io)
+      st = ncformat::CommitSums(*sums.io, map, /*open=*/!closing, &sums.state);
     err = st.raw();
   }
   comm.BcastValue(err, 0);
   if (err != 0)
     return pnc::Status(static_cast<pnc::Err>(err), "sum flush failed");
   std::vector<std::byte> table;
-  if (comm.rank() == 0) table = sums.EncodeTable();
+  if (comm.rank() == 0) table = map.EncodeTable();
   comm.Bcast(table, 0);
   if (comm.rank() != 0 && !table.empty()) {
     auto m = ncformat::ChunkSumMap::DecodeTable(table);
     if (!m.ok()) return m.status();
-    sums = std::move(m).value();
+    map = std::move(m).value();
   }
-  sums.ClearDirty();
+  map.ClearDirty();
   comm.Barrier();
   return pnc::Status::Ok();
 }
@@ -325,34 +307,18 @@ pnc::Result<Dataset> Dataset::Create(simmpi::Comm comm, pfs::FileSystem& fs,
   im.header.version = opts.use_cdf2 ? 2 : 1;
   im.defining = true;
   im.fresh = true;
-  // PnetCDF-level hint: align the start of the data section, leaving space
-  // for the header to grow without relocating data (§4.2.2: PnetCDF hints
-  // are interpreted by the library, the rest pass through to MPI-IO).
-  im.header_align =
-      static_cast<std::uint64_t>(im.info.GetInt("nc_header_align_size", 0));
   // Create-and-format the sidecar commit journal on the root (truncating any
   // stale one left by a previous file at this path so its commits can never
   // be replayed); the result is agreed before anyone proceeds.
   int jerr = 0;
   if (im.comm.rank() == 0) {
-    auto jf = fs.Create(ncformat::JournalPath(path), /*exclusive=*/false);
-    if (!jf.ok()) {
-      jerr = jf.status().raw();
-    } else {
-      // Sidecar I/O bills to the dataset's tenant, like the primary file.
-      pfs::File jfile = std::move(jf).value();
-      jfile.SetTenant(im.file.tenant());
-      im.journal.emplace(std::move(jfile), &im.comm.clock());
-      jerr = ncformat::FormatJournal(*im.journal).raw();
-    }
+    auto j = ncformat::OpenSidecar(fs, ncformat::JournalPath(path),
+                                   /*create=*/true, im.file.tenant(),
+                                   &im.comm.clock(), ncformat::FormatJournal);
+    jerr = j.status().raw();
+    if (j.ok()) im.journal = std::move(j).value();
   }
-  if (im.comm.FaultsArmed()) {
-    std::int64_t agreed = 0;
-    PNC_RETURN_IF_ERROR(FtRootValue(im, jerr, &agreed));
-    jerr = static_cast<int>(agreed);
-  } else {
-    im.comm.BcastValue(jerr, 0);
-  }
+  PNC_RETURN_IF_ERROR(AgreeRoot(im, &jerr));
   if (jerr != 0)
     return pnc::Status(static_cast<pnc::Err>(jerr), "commit journal create");
   im.journaled = true;
@@ -362,27 +328,19 @@ pnc::Result<Dataset> Dataset::Create(simmpi::Comm comm, pfs::FileSystem& fs,
   if (ncformat::SumsEnabled() && !im.comm.FaultsArmed()) {
     int serr = 0;
     if (im.comm.rank() == 0) {
-      auto sf = fs.Create(ncformat::SumsPath(path), /*exclusive=*/false);
-      if (!sf.ok()) {
-        serr = sf.status().raw();
-      } else {
-        pfs::File sfile = std::move(sf).value();
-        sfile.SetTenant(im.file.tenant());
-        im.sums_io.emplace(std::move(sfile), &im.comm.clock());
-        serr = ncformat::FormatSums(*im.sums_io).raw();
-      }
+      auto s = ncformat::OpenSidecar(fs, ncformat::SumsPath(path),
+                                     /*create=*/true, im.file.tenant(),
+                                     &im.comm.clock(), ncformat::FormatSums);
+      serr = s.status().raw();
+      if (s.ok()) im.sums.io = std::move(s).value();
     }
     im.comm.BcastValue(serr, 0);
     if (serr != 0)
       return pnc::Status(static_cast<pnc::Err>(serr), "sum sidecar create");
-    im.sums_on = true;
-    im.file.AttachSums(&im.sums, /*verify=*/false);
+    im.sums.on = true;
+    im.file.AttachSums(&im.sums.map, /*verify=*/false);
   }
-  if (im.comm.FaultsArmed()) {
-    PNC_RETURN_IF_ERROR(FtBarrier(im));
-  } else {
-    im.comm.Barrier();
-  }
+  PNC_RETURN_IF_ERROR(AgreeBarrier(im));
   return ds;
 }
 
@@ -410,99 +368,59 @@ pnc::Result<Dataset> Dataset::Open(simmpi::Comm comm, pfs::FileSystem& fs,
   if (im.comm.rank() == 0 && fs.Exists(ncformat::JournalPath(path))) {
     journaled = 1;
     pnc::Status rst = pnc::Status::Ok();
-    auto jf = fs.Open(ncformat::JournalPath(path));
-    auto pf = fs.Open(path);
-    if (!jf.ok()) {
-      rst = jf.status();
-    } else if (!pf.ok()) {
-      rst = pf.status();
+    auto jf = ncformat::OpenSidecar(fs, ncformat::JournalPath(path),
+                                    /*create=*/false, im.file.tenant(),
+                                    &im.comm.clock());
+    auto pf = ncformat::OpenSidecar(fs, path, /*create=*/false,
+                                    im.file.tenant(), &im.comm.clock());
+    if (!jf.ok() || !pf.ok()) {
+      rst = jf.ok() ? pf.status() : jf.status();
     } else {
-      pfs::File jfile = std::move(jf).value();
-      jfile.SetTenant(im.file.tenant());
-      pfs::File pfile = std::move(pf).value();
-      pfile.SetTenant(im.file.tenant());
-      im.journal.emplace(std::move(jfile), &im.comm.clock());
-      ncformat::PfsCommitIo primary(std::move(pfile), &im.comm.clock());
-      auto rep = ncformat::AnalyzeCommit(*im.journal, primary);
-      if (!rep.ok()) {
-        rst = rep.status();
+      im.journal = std::move(jf).value();
+      auto rec = ncformat::RecoverAtOpen(*im.journal, *pf.value(), writable);
+      if (rec.ok()) {
+        im.commit = rec.value().commit;
+        recovered = std::move(rec.value().recovered);
       } else {
-        const ncformat::VerifyReport& r = rep.value();
-        if (r.has_commit) im.commit = r.committed;
-        if (r.state == ncformat::FileState::kCorrupt && r.has_commit) {
-          rst = pnc::Status(pnc::Err::kNotNc, "unrecoverable: " + r.detail);
-        } else if (r.state == ncformat::FileState::kTornRecoverable) {
-          if (writable) {
-            rst = ncformat::RepairFromReport(r, primary);
-          } else {
-            recovered = r.committed_header;
-          }
-        }
+        rst = rec.status();
       }
     }
     err = rst.raw();
   }
-  if (im.comm.FaultsArmed()) {
-    std::int64_t v = 0;
-    PNC_RETURN_IF_ERROR(FtRootValue(im, err, &v));
-    err = static_cast<int>(v);
-    if (err != 0) return pnc::Status(static_cast<pnc::Err>(err), path);
-    PNC_RETURN_IF_ERROR(FtRootValue(im, journaled, &v));
-    journaled = static_cast<int>(v);
-  } else {
-    im.comm.BcastValue(err, 0);
-    if (err != 0) return pnc::Status(static_cast<pnc::Err>(err), path);
-    im.comm.BcastValue(journaled, 0);
-  }
+  PNC_RETURN_IF_ERROR(AgreeRoot(im, &err));
+  if (err != 0) return pnc::Status(static_cast<pnc::Err>(err), path);
+  PNC_RETURN_IF_ERROR(AgreeRoot(im, &journaled));
   im.journaled = journaled != 0;
 
   // §4.2.1: the root process fetches the file header and broadcasts it; all
   // processes then hold an identical local copy until close.
-  if (im.comm.rank() == 0 && !recovered.empty()) {
-    auto hdr = Header::Decode(recovered);
-    if (hdr.ok()) {
-      im.header = std::move(hdr).value();
-      bytes = EncodeHeader(im.header);
-    } else {
-      err = hdr.status().raw();
-    }
-  } else if (im.comm.rank() == 0) {
+  if (im.comm.rank() == 0) {
     const std::uint64_t fsize = im.file.GetSize().ok()
                                     ? im.file.GetSize().value()
                                     : 0;
-    std::uint64_t try_size = 8 * 1024;
-    for (;;) {
-      const std::uint64_t n = std::min(try_size, std::max<std::uint64_t>(fsize, 4));
-      bytes.assign(n, std::byte{0});
-      pnc::Status rs =
-          im.file.ReadAt(0, bytes.data(), n, simmpi::ByteType());
-      PNC_IOSTAT_ADD(kNcHeaderBytesRead, n);
-      if (!rs.ok()) {
-        err = rs.raw();
-        break;
-      }
-      auto hdr = Header::Decode(bytes);
-      if (hdr.ok()) {
-        im.header = std::move(hdr).value();
-        bytes = EncodeHeader(im.header);
-        break;
-      }
-      if (hdr.status().code() != pnc::Err::kTrunc || n >= fsize) {
-        err = hdr.status().raw();
-        break;
-      }
-      try_size *= 4;
+    auto hdr =
+        !recovered.empty()
+            ? Header::Decode(recovered)
+            : ncformat::ReadHeader(
+                  std::max<std::uint64_t>(fsize, 4),
+                  [&im](std::uint64_t off, pnc::ByteSpan out) {
+                    const pnc::Status rs = im.file.ReadAt(
+                        off, out.data(), out.size(), simmpi::ByteType());
+                    PNC_IOSTAT_ADD(kNcHeaderBytesRead, out.size());
+                    return rs;
+                  });
+    if (hdr.ok()) {
+      im.header = std::move(hdr).value();
+      bytes = im.header.Encode();
+    } else {
+      err = hdr.status().raw();
     }
   }
+  PNC_RETURN_IF_ERROR(AgreeRoot(im, &err));
+  if (err != 0) return pnc::Status(static_cast<pnc::Err>(err), path);
   if (im.comm.FaultsArmed()) {
-    std::int64_t v = 0;
-    PNC_RETURN_IF_ERROR(FtRootValue(im, err, &v));
-    err = static_cast<int>(v);
-    if (err != 0) return pnc::Status(static_cast<pnc::Err>(err), path);
     PNC_RETURN_IF_ERROR(FtBcastBytes(im, bytes));
   } else {
-    im.comm.BcastValue(err, 0);
-    if (err != 0) return pnc::Status(static_cast<pnc::Err>(err), path);
     im.comm.Bcast(bytes, 0);
   }
   if (im.comm.rank() != 0) {
@@ -510,8 +428,6 @@ pnc::Result<Dataset> Dataset::Open(simmpi::Comm comm, pfs::FileSystem& fs,
     if (!hdr.ok()) return hdr.status();
     im.header = std::move(hdr).value();
   }
-  im.header_align =
-      static_cast<std::uint64_t>(im.info.GetInt("nc_header_align_size", 0));
   PNC_RETURN_IF_ERROR(im.SetupOpenSums(writable, !recovered.empty()));
   return ds;
 }
@@ -525,16 +441,14 @@ pnc::Status Dataset::Redef() {
   im.pre_redef = im.header;
   im.defining = true;
   PNC_PROBE(kModeSwitch, .t_begin = im.comm.clock().now());
-  if (im.comm.FaultsArmed()) return FtBarrier(im);
-  im.comm.Barrier();
-  return pnc::Status::Ok();
+  return AgreeBarrier(im);
 }
 
 pnc::Status Dataset::WriteHeaderCollective() {
   auto& im = *impl_;
   PNC_IOSTAT_REQ_SCOPE("write_header", "", im.comm.clock().now(),
                        std::uint64_t{0}, 1);
-  auto bytes = EncodeHeader(im.header);
+  auto bytes = im.header.Encode();
   im.file.ClearView();
   // Data first, metadata last: every rank's outstanding data lands before
   // the header that makes it reachable commits. The collective sync also
@@ -565,19 +479,7 @@ pnc::Status Dataset::WriteHeaderCollective() {
     if (st.ok()) PNC_IOSTAT_ADD(kNcHeaderBytesWritten, bytes.size());
     err = st.raw();
   }
-  if (im.comm.FaultsArmed()) {
-    std::int64_t v = 0;
-    PNC_RETURN_IF_ERROR(FtRootValue(im, err, &v));
-    err = static_cast<int>(v);
-    if (err != 0)
-      return pnc::Status(static_cast<pnc::Err>(err), "header write failed");
-    return FtBarrier(im);
-  }
-  im.comm.BcastValue(err, 0);
-  if (err != 0)
-    return pnc::Status(static_cast<pnc::Err>(err), "header write failed");
-  im.comm.Barrier();
-  return pnc::Status::Ok();
+  return AgreeRootStatus(im, err, "header write failed");
 }
 
 pnc::Status Dataset::EndDef() {
@@ -587,53 +489,34 @@ pnc::Status Dataset::EndDef() {
 
   // Keep the data section where it is if the new header still fits in front
   // of it; also honor the header alignment hint.
-  std::uint64_t min_begin = im.header_align;
-  if (im.pre_redef) {
-    const std::uint64_t new_size = im.header.EncodedSize();
-    if (new_size <= im.pre_redef->data_begin())
-      min_begin = std::max(min_begin, im.pre_redef->data_begin());
-  }
-  pnc::Status lst = im.header.ComputeLayout(min_begin);
+  pnc::Status lst = im.header.ComputeLayoutAfter(
+      im.pre_redef ? &*im.pre_redef : nullptr, im.header_align);
   PNC_RETURN_IF_ERROR(CollectiveCheck(lst, true));
 
   // §4.2.1: all define mode functions are collective and require identical
   // arguments on every process; verify before committing anything to disk.
-  auto bytes = EncodeHeader(im.header);
+  auto bytes = im.header.Encode();
   if (im.comm.FaultsArmed()) {
     // Agree on the image's hash instead of shipping it: identical headers
     // iff the min and max of the hash coincide across the live ranks.
     const std::int64_t h = HashBytes(bytes);
     std::int64_t mn = 0, mx = 0;
-    PNC_RETURN_IF_ERROR(FtAgreeMin(im, h, &mn));
-    PNC_RETURN_IF_ERROR(FtAgreeMax(im, h, &mx));
+    PNC_RETURN_IF_ERROR(AgreeFold(im, h, /*max=*/false, &mn));
+    PNC_RETURN_IF_ERROR(AgreeFold(im, h, /*max=*/true, &mx));
     if (mn != mx)
       return pnc::Status(pnc::Err::kMultiDefine, "EndDef header mismatch");
   } else if (!im.comm.AllAgree(bytes)) {
     return pnc::Status(pnc::Err::kMultiDefine, "EndDef header mismatch");
   }
 
-  // Sum geometry follows the (possibly moved) data region; set it before
-  // the relayout below so its writes record pieces in the new geometry.
-  // When the region moved, every committed sum is stale: the root marks all
-  // existing data unsummed so the next flush re-reads it.
-  if (im.sums_on) {
-    const std::uint64_t db = DataBeginOf(im.header);
-    if (im.sums.chunk_size() == 0 || im.sums.data_begin() != db) {
-      const std::uint64_t cs = im.sums.chunk_size() != 0
-                                   ? im.sums.chunk_size()
-                                   : ncformat::SumChunkSize();
-      im.sums.Clear();
-      im.sums.SetGeometry(cs, db);
-      if (!im.fresh && im.comm.rank() == 0) {
-        const std::uint64_t fsize =
-            im.file.GetSize().ok() ? im.file.GetSize().value() : 0;
-        if (fsize > db) im.sums.MarkUnsummed(db, fsize - db);
-      }
-    }
-  }
-  if (im.pre_redef && !im.fresh) {
-    PNC_RETURN_IF_ERROR(RelayoutParallel(*im.pre_redef));
-  }
+  // The root alone marks the moved data unsummed: the flush gathers every
+  // rank's pending state to it.
+  const bool root_had_data = !im.fresh && im.comm.rank() == 0;
+  im.sums.Rebase(ncformat::SumsOrigin(im.header),
+                 root_had_data && im.file.GetSize().ok()
+                     ? im.file.GetSize().value()
+                     : 0);
+  if (im.pre_redef) PNC_RETURN_IF_ERROR(RelayoutParallel(*im.pre_redef));
   PNC_RETURN_IF_ERROR(WriteHeaderCollective());
   im.defining = false;
   im.fresh = false;
@@ -668,7 +551,7 @@ pnc::Status Dataset::Close() {
   }
   if (im.defining) PNC_RETURN_IF_ERROR(EndDef());
   PNC_RETURN_IF_ERROR(SyncNumrecs(im.header.numrecs, /*collective=*/true));
-  if (im.sums_on && im.writable) {
+  if (im.sums.commits()) {
     // Final flush commits the table closed: only a session that reaches
     // this point hands trustworthy sums to the next open.
     PNC_RETURN_IF_ERROR(Track(im, im.file.Sync()));
@@ -695,23 +578,13 @@ pnc::Status Dataset::Abort() {
     if (im.comm.rank() == 0) {
       im.journal.reset();
       (void)im.fs->Remove(ncformat::JournalPath(im.path));
-      if (im.sums_io) {
-        im.sums_io.reset();
+      if (im.sums.io) {
+        im.sums.io.reset();
         (void)im.fs->Remove(ncformat::SumsPath(im.path));
       }
       err = im.fs->Remove(im.path).raw();
     }
-    if (im.comm.FaultsArmed()) {
-      std::int64_t v = 0;
-      PNC_RETURN_IF_ERROR(FtRootValue(im, err, &v));
-      err = static_cast<int>(v);
-      if (err != 0) return pnc::Status(static_cast<pnc::Err>(err), im.path);
-      return FtBarrier(im);
-    }
-    im.comm.BcastValue(err, 0);
-    if (err != 0) return pnc::Status(static_cast<pnc::Err>(err), im.path);
-    im.comm.Barrier();
-    return pnc::Status::Ok();
+    return AgreeRootStatus(im, err, im.path);
   }
   if (im.defining && im.pre_redef) {
     im.header = *im.pre_redef;
@@ -726,11 +599,7 @@ pnc::Status Dataset::BeginIndepData() {
   auto& im = *impl_;
   if (im.defining) return pnc::Status(pnc::Err::kInDefine);
   if (im.indep) return pnc::Status(pnc::Err::kInIndep);
-  if (im.comm.FaultsArmed()) {
-    PNC_RETURN_IF_ERROR(FtBarrier(im));
-  } else {
-    im.comm.Barrier();
-  }
+  PNC_RETURN_IF_ERROR(AgreeBarrier(im));
   im.indep = true;
   PNC_PROBE(kModeSwitch, .t_begin = im.comm.clock().now());
   return pnc::Status::Ok();
@@ -756,112 +625,45 @@ pnc::Status Dataset::EndIndepData() {
 // phase (§4.3).
 
 namespace {
-pnc::Status CheckDefine(const Dataset::Impl& im) {
-  if (!im.defining) return pnc::Status(pnc::Err::kNotInDefine);
-  if (!im.writable) return pnc::Status(pnc::Err::kPermission);
+pnc::Status CheckDefine(const Dataset::Impl* im) {
+  if (!im) return pnc::Status(pnc::Err::kBadId);
+  if (!im->defining) return pnc::Status(pnc::Err::kNotInDefine);
+  if (!im->writable) return pnc::Status(pnc::Err::kPermission);
   return pnc::Status::Ok();
 }
 }  // namespace
 
 pnc::Result<int> Dataset::DefDim(const std::string& name, std::uint64_t len) {
-  if (!impl_) return pnc::Status(pnc::Err::kBadId);
-  auto& im = *impl_;
-  PNC_RETURN_IF_ERROR(CheckDefine(im));
-  auto& h = im.header;
-  if (h.FindDim(name) >= 0) return pnc::Status(pnc::Err::kNameInUse, name);
-  if (len == kUnlimited && h.unlimited_dimid() >= 0)
-    return pnc::Status(pnc::Err::kUnlimit, name);
-  if (h.dims.size() >= ncformat::kMaxDims)
-    return pnc::Status(pnc::Err::kMaxDims);
-  h.dims.push_back({name, len});
-  return static_cast<int>(h.dims.size()) - 1;
+  PNC_RETURN_IF_ERROR(CheckDefine(impl_.get()));
+  return impl_->header.DefDim(name, len);
 }
 
 pnc::Result<int> Dataset::DefVar(const std::string& name, NcType type,
                                  std::vector<std::int32_t> dimids) {
-  if (!impl_) return pnc::Status(pnc::Err::kBadId);
-  auto& im = *impl_;
-  PNC_RETURN_IF_ERROR(CheckDefine(im));
-  auto& h = im.header;
-  if (h.FindVar(name) >= 0) return pnc::Status(pnc::Err::kNameInUse, name);
-  if (h.vars.size() >= ncformat::kMaxVars)
-    return pnc::Status(pnc::Err::kMaxVars);
-  if (!ncformat::IsValidType(static_cast<std::int32_t>(type)))
-    return pnc::Status(pnc::Err::kBadType, name);
-  ncformat::Var v;
-  v.name = name;
-  v.type = type;
-  v.dimids = std::move(dimids);
-  for (std::size_t i = 0; i < v.dimids.size(); ++i) {
-    const auto d = v.dimids[i];
-    if (d < 0 || static_cast<std::size_t>(d) >= h.dims.size())
-      return pnc::Status(pnc::Err::kBadDim, name);
-    if (h.dims[static_cast<std::size_t>(d)].is_unlimited() && i != 0)
-      return pnc::Status(pnc::Err::kUnlimPos, name);
-  }
-  h.vars.push_back(std::move(v));
-  return static_cast<int>(h.vars.size()) - 1;
+  PNC_RETURN_IF_ERROR(CheckDefine(impl_.get()));
+  return impl_->header.DefVar(name, type, std::move(dimids));
 }
 
 pnc::Status Dataset::RenameDim(int dimid, const std::string& name) {
-  if (!impl_) return pnc::Status(pnc::Err::kBadId);
-  PNC_RETURN_IF_ERROR(CheckDefine(*impl_));
-  auto& h = impl_->header;
-  if (dimid < 0 || static_cast<std::size_t>(dimid) >= h.dims.size())
-    return pnc::Status(pnc::Err::kBadDim);
-  if (h.FindDim(name) >= 0) return pnc::Status(pnc::Err::kNameInUse, name);
-  h.dims[static_cast<std::size_t>(dimid)].name = name;
-  return pnc::Status::Ok();
+  PNC_RETURN_IF_ERROR(CheckDefine(impl_.get()));
+  return impl_->header.RenameDim(dimid, name);
 }
 
 pnc::Status Dataset::RenameVar(int varid, const std::string& name) {
-  if (!impl_) return pnc::Status(pnc::Err::kBadId);
-  PNC_RETURN_IF_ERROR(CheckDefine(*impl_));
-  auto& h = impl_->header;
-  if (varid < 0 || static_cast<std::size_t>(varid) >= h.vars.size())
-    return pnc::Status(pnc::Err::kNotVar);
-  if (h.FindVar(name) >= 0) return pnc::Status(pnc::Err::kNameInUse, name);
-  h.vars[static_cast<std::size_t>(varid)].name = name;
-  return pnc::Status::Ok();
+  PNC_RETURN_IF_ERROR(CheckDefine(impl_.get()));
+  return impl_->header.RenameVar(varid, name);
 }
 
 // ------------------------------------------------------------ attributes
-
-namespace {
-pnc::Result<std::vector<Attr>*> AttrListOf(Header& h, int varid) {
-  if (varid == kGlobal) return &h.gatts;
-  if (varid < 0 || static_cast<std::size_t>(varid) >= h.vars.size())
-    return pnc::Status(pnc::Err::kNotVar);
-  return &h.vars[static_cast<std::size_t>(varid)].attrs;
-}
-}  // namespace
 
 pnc::Status Dataset::PutAtt(int varid, Attr att) {
   if (!impl_) return pnc::Status(pnc::Err::kBadId);
   auto& im = *impl_;
   if (!im.writable) return pnc::Status(pnc::Err::kPermission);
-  PNC_ASSIGN_OR_RETURN(std::vector<Attr>* attrs, AttrListOf(im.header, varid));
-  int existing = -1;
-  for (std::size_t i = 0; i < attrs->size(); ++i)
-    if ((*attrs)[i].name == att.name) existing = static_cast<int>(i);
-  if (!im.defining) {
-    // Data mode: in-place replacement only; the change is collective and the
-    // root rewrites the (same-size) header.
-    if (existing < 0) return pnc::Status(pnc::Err::kNotInDefine, att.name);
-    const auto& old = (*attrs)[static_cast<std::size_t>(existing)];
-    if (att.type != old.type || att.data.size() > old.data.size())
-      return pnc::Status(pnc::Err::kNotInDefine, att.name);
-    (*attrs)[static_cast<std::size_t>(existing)] = std::move(att);
-    return WriteHeaderCollective();
-  }
-  if (existing >= 0) {
-    (*attrs)[static_cast<std::size_t>(existing)] = std::move(att);
-  } else {
-    if (attrs->size() >= ncformat::kMaxAttrs)
-      return pnc::Status(pnc::Err::kMaxAtts);
-    attrs->push_back(std::move(att));
-  }
-  return pnc::Status::Ok();
+  PNC_RETURN_IF_ERROR(im.header.PutAtt(varid, std::move(att), im.defining));
+  // A data-mode replacement is collective: the root rewrites the
+  // (same-size) header.
+  return im.defining ? pnc::Status::Ok() : WriteHeaderCollective();
 }
 
 pnc::Status Dataset::PutAttText(int varid, const std::string& name,
@@ -871,23 +673,12 @@ pnc::Status Dataset::PutAttText(int varid, const std::string& name,
 
 pnc::Result<Attr> Dataset::GetAtt(int varid, const std::string& name) const {
   if (!impl_) return pnc::Status(pnc::Err::kBadId);
-  PNC_ASSIGN_OR_RETURN(std::vector<Attr>* attrs,
-                       AttrListOf(impl_->header, varid));
-  for (const auto& a : *attrs)
-    if (a.name == name) return a;
-  return pnc::Status(pnc::Err::kNotAtt, name);
+  return impl_->header.GetAtt(varid, name);
 }
 
 pnc::Status Dataset::DelAtt(int varid, const std::string& name) {
-  if (!impl_) return pnc::Status(pnc::Err::kBadId);
-  PNC_RETURN_IF_ERROR(CheckDefine(*impl_));
-  PNC_ASSIGN_OR_RETURN(std::vector<Attr>* attrs,
-                       AttrListOf(impl_->header, varid));
-  auto it = std::find_if(attrs->begin(), attrs->end(),
-                         [&](const Attr& a) { return a.name == name; });
-  if (it == attrs->end()) return pnc::Status(pnc::Err::kNotAtt, name);
-  attrs->erase(it);
-  return pnc::Status::Ok();
+  PNC_RETURN_IF_ERROR(CheckDefine(impl_.get()));
+  return impl_->header.DelAtt(varid, name);
 }
 
 // --------------------------------------------------------------- inquiry
@@ -901,19 +692,15 @@ int Dataset::ngatts() const { return static_cast<int>(impl_->header.gatts.size()
 int Dataset::unlimdim() const { return impl_->header.unlimited_dimid(); }
 std::uint64_t Dataset::numrecs() const { return impl_->header.numrecs; }
 const ncformat::ChunkSumMap* Dataset::sums() const {
-  return impl_->sums_on ? &impl_->sums : nullptr;
+  return impl_->sums.on ? &impl_->sums.map : nullptr;
 }
 
 pnc::Result<int> Dataset::DimId(const std::string& name) const {
-  const int id = impl_->header.FindDim(name);
-  if (id < 0) return pnc::Status(pnc::Err::kBadDim, name);
-  return id;
+  return impl_->header.DimId(name);
 }
 
 pnc::Result<int> Dataset::VarId(const std::string& name) const {
-  const int id = impl_->header.FindVar(name);
-  if (id < 0) return pnc::Status(pnc::Err::kNotVar, name);
-  return id;
+  return impl_->header.VarId(name);
 }
 
 simmpi::Comm& Dataset::comm() { return impl_->comm; }
@@ -935,17 +722,10 @@ pnc::Status Dataset::CheckDataMode(bool need_write, bool collective) const {
 
 pnc::Status Dataset::CollectiveCheck(pnc::Status st, bool collective) {
   if (!collective) return st;
-  auto& im = *impl_;
-  if (im.comm.FaultsArmed()) {
-    std::int64_t mn = 0;
-    PNC_RETURN_IF_ERROR(FtAgreeMin(im, st.raw(), &mn));
-    if (mn == 0) return pnc::Status::Ok();
-    return st.ok() ? pnc::Status(pnc::Err::kMultiDefine,
-                                 "a peer process failed validation")
-                   : st;
-  }
-  const bool all_ok = im.comm.AllreduceAnd(st.ok());
-  if (all_ok) return pnc::Status::Ok();
+  std::uint8_t all_ok = 0;
+  PNC_RETURN_IF_ERROR(AgreeFold<std::uint8_t>(*impl_, st.ok() ? 1 : 0,
+                                              /*max=*/false, &all_ok));
+  if (all_ok != 0) return pnc::Status::Ok();
   return st.ok() ? pnc::Status(pnc::Err::kMultiDefine,
                                "a peer process failed validation")
                  : st;
@@ -968,11 +748,7 @@ pnc::Status Dataset::MoveExternal(int varid,
                         : (stride.empty() ? "put_vara" : "put_vars"))
           : (collective ? (stride.empty() ? "get_vara_all" : "get_vars_all")
                         : (stride.empty() ? "get_vara" : "get_vars"));
-  const std::string_view varname =
-      varid >= 0 && varid < static_cast<int>(im.header.vars.size())
-          ? std::string_view(im.header.vars[static_cast<std::size_t>(varid)]
-                                 .name)
-          : std::string_view();
+  const std::string_view varname = im.header.VarName(varid);
   PNC_IOSTAT_REQ_SCOPE(api, varname, im.comm.clock().now(), ext.size(),
                        is_write);
 
@@ -1018,11 +794,8 @@ pnc::Status Dataset::MoveExternal(int varid,
   // rank of a collective takes this path even with a zero-sized count, so
   // the embedded allreduce stays aligned.
   if (is_write && im.header.IsRecordVar(varid)) {
-    std::uint64_t last = 0;
-    if (!count.empty() && count[0] > 0) {
-      const std::uint64_t st0 = stride.empty() ? 1 : stride[0];
-      last = start[0] + (count[0] - 1) * st0 + 1;
-    }
+    const std::uint64_t last =
+        ncformat::RecordsTouched(im.header, varid, start, count, stride);
     PNC_RETURN_IF_ERROR(
         SyncNumrecs(std::max(im.header.numrecs, last), collective));
   }
@@ -1035,26 +808,14 @@ pnc::Status Dataset::SyncNumrecs(std::uint64_t local_numrecs, bool collective) {
     im.header.numrecs = std::max(im.header.numrecs, local_numrecs);
     return pnc::Status::Ok();
   }
-  const bool ft = im.comm.FaultsArmed();
-  std::uint64_t global;
-  bool changed;
-  if (ft) {
-    std::int64_t g = 0;
-    PNC_RETURN_IF_ERROR(
-        FtAgreeMax(im, static_cast<std::int64_t>(local_numrecs), &g));
-    global = static_cast<std::uint64_t>(g);
-    std::int64_t ch = 0;
-    PNC_RETURN_IF_ERROR(
-        FtAgreeMax(im, global != im.header.numrecs ? 1 : 0, &ch));
-    changed = ch != 0;
-  } else {
-    global = im.comm.AllreduceMax(local_numrecs);
-    // `changed` can differ across ranks (a rank that grew the records
-    // locally already holds the new count), so agree on it before the
-    // guarded collective section below.
-    changed = im.comm.AllreduceMax<std::uint8_t>(
-                  global != im.header.numrecs ? 1 : 0) != 0;
-  }
+  std::uint64_t global = 0;
+  PNC_RETURN_IF_ERROR(AgreeFold(im, local_numrecs, /*max=*/true, &global));
+  // `changed` can differ across ranks (a rank that grew the records locally
+  // already holds the new count), so agree on it before the guarded
+  // collective section below.
+  std::uint8_t changed = 0;
+  PNC_RETURN_IF_ERROR(AgreeFold<std::uint8_t>(
+      im, global != im.header.numrecs ? 1 : 0, /*max=*/true, &changed));
   im.header.numrecs = global;
   if (changed && im.writable) {
     im.file.ClearView();
@@ -1063,43 +824,47 @@ pnc::Status Dataset::SyncNumrecs(std::uint64_t local_numrecs, bool collective) {
     if (im.journaled) PNC_RETURN_IF_ERROR(Track(im, im.file.Sync()));
     int err = 0;
     if (im.comm.rank() == 0) {
-      std::byte buf[4];
-      const auto v =
-          pnc::xdr::ToBig(static_cast<std::uint32_t>(im.header.numrecs));
-      std::memcpy(buf, &v, 4);
+      const auto field = im.header.NumrecsField();
       pnc::Status st;
-      if (im.journal && im.commit) {
-        ncformat::CommitState next;
+      ncformat::CommitState next;
+      if (im.journal && im.commit)
         st = ncformat::CommitNumrecsToJournal(*im.journal, *im.commit,
                                               im.header.numrecs, &next);
-        if (st.ok()) st = im.file.WriteAt(4, buf, 4, simmpi::ByteType());
-        if (st.ok()) st = im.file.SyncLocal();
+      if (st.ok())
+        st = im.file.WriteAt(ncformat::kNumrecsOffset, field.data(),
+                             field.size(), simmpi::ByteType());
+      if (st.ok() && im.journal && im.commit) {
+        st = im.file.SyncLocal();
         if (st.ok()) im.commit = next;
-      } else {
-        st = im.file.WriteAt(4, buf, 4, simmpi::ByteType());
       }
       if (st.ok()) PNC_IOSTAT_ADD(kNcHeaderBytesWritten, 4);
       err = st.raw();
     }
-    // Agree on the root's status so all ranks return the same result and the
-    // barrier below is reached by everyone or no one.
-    if (ft) {
-      std::int64_t v = 0;
-      PNC_RETURN_IF_ERROR(FtRootValue(im, err, &v));
-      err = static_cast<int>(v);
-      if (err != 0)
-        return pnc::Status(static_cast<pnc::Err>(err), "numrecs write failed");
-      return FtBarrier(im);
-    }
-    im.comm.BcastValue(err, 0);
-    if (err != 0)
-      return pnc::Status(static_cast<pnc::Err>(err), "numrecs write failed");
-    im.comm.Barrier();
+    return AgreeRootStatus(im, err, "numrecs write failed");
   }
   return pnc::Status::Ok();
 }
 
 // --------------------------------------------------------------- flexible
+
+namespace {
+/// Call `f` with a null pointer of the C++ element type of MPI primitive
+/// `p`: the one dispatch from a flexible-API datatype to the typed engine.
+template <typename F>
+pnc::Status WithPrimType(simmpi::Prim p, F&& f) {
+  switch (p) {
+    case simmpi::Prim::kByte:
+    case simmpi::Prim::kSChar: return f(static_cast<signed char*>(nullptr));
+    case simmpi::Prim::kChar: return f(static_cast<char*>(nullptr));
+    case simmpi::Prim::kShort: return f(static_cast<short*>(nullptr));
+    case simmpi::Prim::kInt: return f(static_cast<int*>(nullptr));
+    case simmpi::Prim::kLongLong: return f(static_cast<long long*>(nullptr));
+    case simmpi::Prim::kFloat: return f(static_cast<float*>(nullptr));
+    case simmpi::Prim::kDouble: return f(static_cast<double*>(nullptr));
+  }
+  return pnc::Status(pnc::Err::kBadType);
+}
+}  // namespace
 
 pnc::Status Dataset::FlexPut(int varid, std::span<const std::uint64_t> start,
                              std::span<const std::uint64_t> count,
@@ -1120,40 +885,12 @@ pnc::Status Dataset::FlexPut(int varid, std::span<const std::uint64_t> start,
   buftype.Pack(static_cast<const std::byte*>(buf), bufcount, packed.data());
   impl_->comm.clock().Advance(impl_->comm.cost().CopyCost(bytes));
 
-  switch (buftype.prim()) {
-    case simmpi::Prim::kByte:
-    case simmpi::Prim::kSChar:
-      return TypedPut<signed char>(
-          varid, start, count, stride, {},
-          {reinterpret_cast<const signed char*>(packed.data()), nelems},
-          collective);
-    case simmpi::Prim::kChar:
-      return TypedPut<char>(
-          varid, start, count, stride, {},
-          {reinterpret_cast<const char*>(packed.data()), nelems}, collective);
-    case simmpi::Prim::kShort:
-      return TypedPut<short>(
-          varid, start, count, stride, {},
-          {reinterpret_cast<const short*>(packed.data()), nelems}, collective);
-    case simmpi::Prim::kInt:
-      return TypedPut<int>(
-          varid, start, count, stride, {},
-          {reinterpret_cast<const int*>(packed.data()), nelems}, collective);
-    case simmpi::Prim::kLongLong:
-      return TypedPut<long long>(
-          varid, start, count, stride, {},
-          {reinterpret_cast<const long long*>(packed.data()), nelems},
-          collective);
-    case simmpi::Prim::kFloat:
-      return TypedPut<float>(
-          varid, start, count, stride, {},
-          {reinterpret_cast<const float*>(packed.data()), nelems}, collective);
-    case simmpi::Prim::kDouble:
-      return TypedPut<double>(
-          varid, start, count, stride, {},
-          {reinterpret_cast<const double*>(packed.data()), nelems}, collective);
-  }
-  return pnc::Status(pnc::Err::kBadType);
+  return WithPrimType(buftype.prim(), [&](auto* tag) {
+    using T = std::remove_pointer_t<decltype(tag)>;
+    return TypedPut<T>(varid, start, count, stride, {},
+                       {reinterpret_cast<const T*>(packed.data()), nelems},
+                       collective);
+  });
 }
 
 pnc::Status Dataset::FlexGet(int varid, std::span<const std::uint64_t> start,
@@ -1170,45 +907,12 @@ pnc::Status Dataset::FlexGet(int varid, std::span<const std::uint64_t> start,
 
   const std::uint64_t bytes = bufcount * buftype.size();
   std::vector<std::byte> packed(bytes);
-  pnc::Status st;
-  switch (buftype.prim()) {
-    case simmpi::Prim::kByte:
-    case simmpi::Prim::kSChar:
-      st = TypedGet<signed char>(
-          varid, start, count, stride, {},
-          {reinterpret_cast<signed char*>(packed.data()), nelems}, collective);
-      break;
-    case simmpi::Prim::kChar:
-      st = TypedGet<char>(varid, start, count, stride, {},
-                          {reinterpret_cast<char*>(packed.data()), nelems},
-                          collective);
-      break;
-    case simmpi::Prim::kShort:
-      st = TypedGet<short>(varid, start, count, stride, {},
-                           {reinterpret_cast<short*>(packed.data()), nelems},
-                           collective);
-      break;
-    case simmpi::Prim::kInt:
-      st = TypedGet<int>(varid, start, count, stride, {},
-                         {reinterpret_cast<int*>(packed.data()), nelems},
-                         collective);
-      break;
-    case simmpi::Prim::kLongLong:
-      st = TypedGet<long long>(
-          varid, start, count, stride, {},
-          {reinterpret_cast<long long*>(packed.data()), nelems}, collective);
-      break;
-    case simmpi::Prim::kFloat:
-      st = TypedGet<float>(varid, start, count, stride, {},
-                           {reinterpret_cast<float*>(packed.data()), nelems},
-                           collective);
-      break;
-    case simmpi::Prim::kDouble:
-      st = TypedGet<double>(varid, start, count, stride, {},
-                            {reinterpret_cast<double*>(packed.data()), nelems},
-                            collective);
-      break;
-  }
+  const pnc::Status st = WithPrimType(buftype.prim(), [&](auto* tag) {
+    using T = std::remove_pointer_t<decltype(tag)>;
+    return TypedGet<T>(varid, start, count, stride, {},
+                       {reinterpret_cast<T*>(packed.data()), nelems},
+                       collective);
+  });
   if (!st.ok() && st.code() != pnc::Err::kRange) return st;
   buftype.Unpack(packed.data(), bufcount, static_cast<std::byte*>(buf));
   impl_->comm.clock().Advance(impl_->comm.cost().CopyCost(bytes));
@@ -1256,10 +960,10 @@ pnc::Status Dataset::BatchAccess(std::span<BatchItem> items, bool is_write) {
       vst = pnc::Status(pnc::Err::kTypeMismatch, "batch item size");
       break;
     }
-    if (is_write && im.header.IsRecordVar(item.varid) && !item.count.empty() &&
-        item.count[0] > 0) {
-      max_recs = std::max(max_recs, item.start[0] + item.count[0]);
-    }
+    if (is_write)
+      max_recs = std::max(max_recs,
+                          ncformat::RecordsTouched(im.header, item.varid,
+                                                   item.start, item.count, {}));
   }
   PNC_RETURN_IF_ERROR(CollectiveCheck(vst, true));
 
@@ -1317,35 +1021,12 @@ pnc::Status Dataset::BatchAccess(std::span<BatchItem> items, bool is_write) {
 
 pnc::Status Dataset::RelayoutParallel(const Header& old_header) {
   auto& im = *impl_;
-  const Header& nh = im.header;
   const int p = im.comm.size();
   const int r = im.comm.rank();
-
-  struct Move {
-    std::uint64_t from, to, len;
-  };
-  std::vector<Move> moves;
-  const std::uint64_t nrecs = old_header.numrecs;
-  for (std::size_t i = 0; i < old_header.vars.size(); ++i) {
-    const auto& ov = old_header.vars[i];
-    const int nid = nh.FindVar(ov.name);
-    if (nid < 0) continue;
-    const auto& nv = nh.vars[static_cast<std::size_t>(nid)];
-    if (old_header.IsRecordVar(static_cast<int>(i))) {
-      for (std::uint64_t rec = 0; rec < nrecs; ++rec)
-        moves.push_back({ov.begin + rec * old_header.recsize(),
-                         nv.begin + rec * nh.recsize(), ov.vsize});
-    } else {
-      moves.push_back({ov.begin, nv.begin, ov.vsize});
-    }
-  }
-  // Destinations strictly grow, so moving the highest destination first is
-  // clobber-free; within a move each rank moves a disjoint slice, and the
-  // agreements below order the reads, the writes and the next move. This is the
-  // "moving the existing data to the extended area is performed in parallel"
-  // of §4.3.
-  std::sort(moves.begin(), moves.end(),
-            [](const Move& a, const Move& b) { return a.to > b.to; });
+  // Within a move each rank moves a disjoint slice, and the agreements
+  // below order the reads, the writes and the next move: the "moving the
+  // existing data to the extended area is performed in parallel" of §4.3.
+  auto plan = ncformat::RelayoutPlan(old_header, im.header);
 
   im.file.ClearView();
   // Each phase ends in a status agreement, so a rank-local I/O failure
@@ -1355,25 +1036,16 @@ pnc::Status Dataset::RelayoutParallel(const Header& old_header) {
   // any rank writes, since a destination less than one slice past its
   // source overlaps the next rank's unread slice.
   const auto agree = [&](const pnc::Status& st) -> pnc::Status {
-    int agreed;
-    if (im.comm.FaultsArmed()) {
-      std::int64_t mn = 0;
-      PNC_RETURN_IF_ERROR(FtAgreeMin(im, st.raw(), &mn));
-      agreed = static_cast<int>(mn);
-    } else {
-      agreed = im.comm.AllreduceMin(st.raw());
-    }
+    int agreed = 0;
+    PNC_RETURN_IF_ERROR(AgreeFold(im, st.raw(), /*max=*/false, &agreed));
     if (agreed == 0) return pnc::Status::Ok();
     return st.raw() == agreed ? st
                               : pnc::Status(static_cast<pnc::Err>(agreed),
                                             "relayout failed on a peer rank");
   };
+  if (!plan.ok()) return agree(plan.status());
   std::vector<std::byte> buf;
-  for (const auto& m : moves) {
-    if (m.to == m.from || m.len == 0) continue;
-    if (m.to < m.from)
-      return agree(
-          pnc::Status(pnc::Err::kInternal, "relayout moved data backwards"));
+  for (const auto& m : plan.value()) {
     const std::uint64_t per =
         (m.len + static_cast<std::uint64_t>(p) - 1) / static_cast<std::uint64_t>(p);
     const std::uint64_t lo = std::min(m.len, per * static_cast<std::uint64_t>(r));

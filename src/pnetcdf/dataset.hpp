@@ -37,7 +37,7 @@
 namespace pnetcdf {
 
 constexpr std::uint64_t kUnlimited = 0;
-constexpr int kGlobal = -1;
+constexpr int kGlobal = ncformat::kGlobal;
 
 struct CreateOptions {
   bool clobber = true;
@@ -343,30 +343,17 @@ pnc::Status Dataset::TypedPut(int varid, std::span<const std::uint64_t> start,
   PNC_RETURN_IF_ERROR(CheckDataMode(/*need_write=*/true, collective));
   if (!imap.empty()) {
     // Mapped memory: gather into canonical order first (high-level varm).
-    if (imap.size() != count.size())
-      return pnc::Status(pnc::Err::kInvalidArg, "imap rank");
-    const std::uint64_t nelems = ncformat::AccessElems(count);
-    std::vector<T> tmp(nelems);
-    std::vector<std::uint64_t> idx(count.size(), 0);
-    for (std::uint64_t e = 0; e < nelems; ++e) {
-      std::uint64_t m = 0;
-      for (std::size_t d = 0; d < count.size(); ++d) m += idx[d] * imap[d];
-      tmp[e] = data[m];
-      for (std::size_t d = count.size(); d-- > 0;) {
-        if (++idx[d] < count[d]) break;
-        idx[d] = 0;
-      }
-    }
+    PNC_RETURN_IF_ERROR(ncformat::CheckImap(count, imap));
+    std::vector<T> tmp(ncformat::AccessElems(count));
+    ncformat::MapCopy<T>(count, imap, data, tmp, /*gather=*/true);
     return TypedPut<T>(varid, start, count, stride, {}, std::span<const T>(tmp),
                        collective);
   }
   const std::uint64_t nelems = ncformat::AccessElems(count);
-  pnc::Status vst = ncformat::ValidateAccess(header(), varid, start, count,
-                                             stride,
-                                             ncformat::AccessKind::kWrite);
-  if (vst.ok() && data.size() < nelems)
-    vst = pnc::Status(pnc::Err::kInvalidArg, "buffer");
-  PNC_RETURN_IF_ERROR(CollectiveCheck(vst, collective));
+  PNC_RETURN_IF_ERROR(CollectiveCheck(
+      ncformat::ValidateAccess(header(), varid, start, count, stride,
+                               ncformat::AccessKind::kWrite, data.size()),
+      collective));
   const auto& v = header().vars[static_cast<std::size_t>(varid)];
   std::vector<std::byte> ext(nelems * ncformat::TypeSize(v.type));
   pnc::Status conv =
@@ -385,31 +372,18 @@ pnc::Status Dataset::TypedGet(int varid, std::span<const std::uint64_t> start,
                               std::span<T> out, bool collective) {
   PNC_RETURN_IF_ERROR(CheckDataMode(/*need_write=*/false, collective));
   if (!imap.empty()) {
-    if (imap.size() != count.size())
-      return pnc::Status(pnc::Err::kInvalidArg, "imap rank");
-    const std::uint64_t nelems = ncformat::AccessElems(count);
-    std::vector<T> tmp(nelems);
+    PNC_RETURN_IF_ERROR(ncformat::CheckImap(count, imap));
+    std::vector<T> tmp(ncformat::AccessElems(count));
     PNC_RETURN_IF_ERROR(TypedGet<T>(varid, start, count, stride, {},
                                     std::span<T>(tmp), collective));
-    std::vector<std::uint64_t> idx(count.size(), 0);
-    for (std::uint64_t e = 0; e < nelems; ++e) {
-      std::uint64_t m = 0;
-      for (std::size_t d = 0; d < count.size(); ++d) m += idx[d] * imap[d];
-      out[m] = tmp[e];
-      for (std::size_t d = count.size(); d-- > 0;) {
-        if (++idx[d] < count[d]) break;
-        idx[d] = 0;
-      }
-    }
+    ncformat::MapCopy<T>(count, imap, tmp, out, /*gather=*/false);
     return pnc::Status::Ok();
   }
   const std::uint64_t nelems = ncformat::AccessElems(count);
-  pnc::Status vst = ncformat::ValidateAccess(header(), varid, start, count,
-                                             stride,
-                                             ncformat::AccessKind::kRead);
-  if (vst.ok() && out.size() < nelems)
-    vst = pnc::Status(pnc::Err::kInvalidArg, "buffer");
-  PNC_RETURN_IF_ERROR(CollectiveCheck(vst, collective));
+  PNC_RETURN_IF_ERROR(CollectiveCheck(
+      ncformat::ValidateAccess(header(), varid, start, count, stride,
+                               ncformat::AccessKind::kRead, out.size()),
+      collective));
   const auto& v = header().vars[static_cast<std::size_t>(varid)];
   std::vector<std::byte> ext(nelems * ncformat::TypeSize(v.type));
   PNC_RETURN_IF_ERROR(
@@ -424,11 +398,7 @@ pnc::Status Dataset::WholeVarPut(int varid, std::span<const T> data,
       (varid < 0 || varid >= nvars()) ? pnc::Status(pnc::Err::kNotVar)
                                       : pnc::Status::Ok(),
       collective));
-  auto shape = header().VarShape(varid);
-  if (header().IsRecordVar(varid)) {
-    const std::uint64_t per_rec = header().VarInstanceElems(varid);
-    if (per_rec > 0) shape[0] = data.size() / per_rec;
-  }
+  const auto shape = header().PutVarShape(varid, data.size());
   std::vector<std::uint64_t> start(shape.size(), 0);
   return TypedPut<T>(varid, start, shape, {}, {}, data, collective);
 }

@@ -480,29 +480,13 @@ class Parser {
 
   pnc::Status PutTypedAttr(int varid, const std::string& name, NcType type,
                            const std::vector<double>& vals) {
-    switch (type) {
-      case NcType::kByte: {
-        std::vector<signed char> v(vals.begin(), vals.end());
-        return ds_.PutAttValues<signed char>(varid, name, type, v);
-      }
-      case NcType::kShort: {
-        std::vector<std::int16_t> v(vals.begin(), vals.end());
-        return ds_.PutAttValues<std::int16_t>(varid, name, type, v);
-      }
-      case NcType::kInt: {
-        std::vector<std::int32_t> v(vals.begin(), vals.end());
-        return ds_.PutAttValues<std::int32_t>(varid, name, type, v);
-      }
-      case NcType::kFloat: {
-        std::vector<float> v(vals.begin(), vals.end());
-        return ds_.PutAttValues<float>(varid, name, type, v);
-      }
-      case NcType::kDouble:
-        return ds_.PutAttValues<double>(varid, name, type, vals);
-      case NcType::kChar:
-        break;
-    }
-    return Err("attribute type");
+    if (type == NcType::kChar) return Err("attribute type");
+    // CDL literals narrow like C initializers: an out-of-range value is
+    // stored cast (ncformat::Attr::Convert), not refused.
+    Attr a;
+    const pnc::Status conv = Attr::Convert<double>(name, type, vals, &a);
+    if (!conv.ok() && conv.code() != pnc::Err::kRange) return conv;
+    return ds_.PutAtt(varid, std::move(a));
   }
 
   pnc::Status Data() {

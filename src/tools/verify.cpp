@@ -71,19 +71,6 @@ void WalkExtents(const Header& h, std::uint64_t file_size,
                     "(unwritten tail reads as fill)");
 }
 
-/// First byte of the data region as the integrity layer anchors it: the
-/// lowest variable begin offset (alignment hints can push it past the
-/// encoded header size). 0 when no variables exist.
-std::uint64_t MinVarBegin(const Header& h) {
-  std::uint64_t db = 0;
-  bool first = true;
-  for (const auto& v : h.vars) {
-    if (first || v.begin < db) db = v.begin;
-    first = false;
-  }
-  return first ? 0 : db;
-}
-
 }  // namespace
 
 pnc::Result<VerifyResult> VerifyFile(pfs::FileSystem& fs,
@@ -160,16 +147,11 @@ pnc::Result<VerifyResult> VerifyFile(pfs::FileSystem& fs,
       if (!l.ok()) return l.status();
       loaded = std::move(l).value();
     }
-    const std::uint64_t db = h ? MinVarBegin(*h) : loaded.map.data_begin();
-    if (loaded.trusted && h && loaded.map.data_begin() != db) {
-      loaded.trusted = false;
+    const std::uint64_t db =
+        h ? ncformat::SumsOrigin(*h) : loaded.map.data_begin();
+    if (ncformat::ApplyTrustRule(&loaded, db))
       out.notes.push_back(
           "sum sidecar geometry disagrees with the header (stale sidecar?)");
-    }
-    if (!loaded.trusted || loaded.map.chunk_size() == 0) {
-      loaded.map.Clear();
-      loaded.map.SetGeometry(ncformat::SumChunkSize(), db);
-    }
     const auto raw = [&primary](std::uint64_t off, pnc::ByteSpan b) {
       return primary.Read(off, b);
     };

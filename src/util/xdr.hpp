@@ -59,9 +59,12 @@ class Encoder {
 
   template <typename T>
   void PutScalar(T v) {
-    T big = ToBig(v);
-    auto* p = reinterpret_cast<const std::byte*>(&big);
-    out_.insert(out_.end(), p, p + sizeof(T));
+    // Byte-wise: a range insert here, inlined at -O3 (hdf5lite's
+    // Superblock::Encode), draws GCC 12 false -Wstringop-overflow reports.
+    const T big = ToBig(v);
+    std::byte b[sizeof(T)];
+    std::memcpy(b, &big, sizeof(T));
+    for (const std::byte c : b) out_.push_back(c);
   }
 
   void PutI16(std::int16_t v) { PutScalar(v); }

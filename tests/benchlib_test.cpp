@@ -2,6 +2,8 @@
 // bench::JsonObj / bench::Recorder write side (bench/bench_common.hpp) and
 // the benchlib parse + compare read side behind `ncbench --check` and
 // `ncstat --diff`.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -15,6 +17,32 @@
 #include "tools/cli.hpp"
 
 namespace {
+
+// ---------------------------------------------------------------------------
+// bench::RankBlock: the Figure 5 partitions at any process count
+
+TEST(BenchDecompose, BlocksCoverEveryElementExactlyOnce) {
+  const std::uint64_t dims[3] = {256, 256, 128};  // tt(Z, Y, X)
+  std::vector<std::uint8_t> hits(dims[0] * dims[1] * dims[2]);
+  for (const int np : {1, 2, 3, 4, 6, 8, 16, 256}) {
+    for (const auto& part : bench::kPartitions) {
+      std::fill(hits.begin(), hits.end(), std::uint8_t{0});
+      for (int r = 0; r < np; ++r) {
+        const bench::Block b = bench::RankBlock(np, part.mask, r, dims);
+        for (std::uint64_t z = 0; z < b.count[0]; ++z)
+          for (std::uint64_t y = 0; y < b.count[1]; ++y)
+            for (std::uint64_t x = 0; x < b.count[2]; ++x)
+              ++hits[((b.start[0] + z) * dims[1] + b.start[1] + y) * dims[2] +
+                     b.start[2] + x];
+      }
+      const auto bad = std::count_if(hits.begin(), hits.end(),
+                                     [](std::uint8_t h) { return h != 1; });
+      EXPECT_EQ(bad, 0) << part.name << " at " << np << " procs";
+      EXPECT_EQ(bench::CoveredElems(np, part.mask, dims), hits.size())
+          << part.name << " at " << np << " procs";
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // bench::Args flag validation

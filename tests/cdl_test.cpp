@@ -171,13 +171,13 @@ TEST_P(RoundTripFuzzP, RandomDatasetsSurviveTheLoop) {
   std::vector<std::int32_t> dimids;
   for (int d = 0; d < ndims; ++d)
     dimids.push_back(
-        ds.DefDim("d" + std::to_string(d), 1 + rng.Below(4)).value());
+        ds.DefDim(std::string("d").append(std::to_string(d)), 1 + rng.Below(4)).value());
   const int nvars = 1 + static_cast<int>(rng.Below(4));
   for (int v = 0; v < nvars; ++v) {
     const auto type = static_cast<NcType>(1 + rng.Below(6));
     std::vector<std::int32_t> vd(dimids.begin(),
                                  dimids.begin() + 1 + rng.Below(ndims));
-    (void)ds.DefVar("v" + std::to_string(v), type, vd);
+    (void)ds.DefVar(std::string("v").append(std::to_string(v)), type, vd);
   }
   ASSERT_TRUE(ds.EndDef().ok());
   for (int v = 0; v < nvars; ++v) {

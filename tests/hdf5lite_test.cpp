@@ -171,7 +171,7 @@ TEST(Overhead, PerDatasetCollectivesCostMoreThanPnetcdfStyle) {
       const std::uint64_t dims[] = {16};
       for (int i = 0; i < nds; ++i) {
         auto ds =
-            f.CreateDataset("v" + std::to_string(i), NcType::kInt, dims)
+            f.CreateDataset(std::string("v").append(std::to_string(i)), NcType::kInt, dims)
                 .value();
         ASSERT_TRUE(ds.Close().ok());
       }

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "format/commit.hpp"
 #include "format/header.hpp"
 #include "format/sums.hpp"
 #include "iostat/events.hpp"
@@ -45,14 +46,8 @@ ncformat::Header HeaderOf(pfs::FileSystem& fs, const std::string& path) {
 /// First data byte of `path` = the lowest variable begin offset.
 std::uint64_t DataBegin(pfs::FileSystem& fs, const std::string& path) {
   const ncformat::Header h = HeaderOf(fs, path);
-  std::uint64_t db = 0;
-  bool first = true;
-  for (const auto& v : h.vars) {
-    if (first || v.begin < db) db = v.begin;
-    first = false;
-  }
-  EXPECT_FALSE(first) << "no variables in " << path;
-  return db;
+  EXPECT_FALSE(h.vars.empty()) << "no variables in " << path;
+  return ncformat::SumsOrigin(h);
 }
 
 
@@ -627,6 +622,62 @@ TEST(Integrity, ParallelSumsOffIsBitIdenticalAndSidecarFree) {
     without = FileBytes(fs, "g.nc");
   }
   EXPECT_EQ(with, without);
+}
+
+// ------------------------------------------ read-only sessions are inert
+
+// A reader commits nothing: opening read-only, reading and closing leaves
+// the primary, the journal and the `.ncsum` sidecar byte-identical and
+// issues no pfs write or sync (a sync is a zero-length write request).
+TEST(Integrity, ReadOnlySerialSessionWritesNothing) {
+  pfs::FileSystem fs;
+  MakePatternFile(fs, "d.nc");
+  const std::string paths[] = {"d.nc", ncformat::SumsPath("d.nc"),
+                               ncformat::JournalPath("d.nc")};
+  std::vector<std::vector<std::byte>> before;
+  for (const auto& p : paths) before.push_back(FileBytes(fs, p));
+  const pfs::Stats s0 = fs.stats();
+  {
+    auto ds = netcdf::Dataset::Open(fs, "d.nc", /*writable=*/false).value();
+    std::vector<signed char> got(kSerialElems);
+    const std::uint64_t st[] = {0};
+    const std::uint64_t ct[] = {kSerialElems};
+    ASSERT_TRUE(ds.GetVara<signed char>(0, st, ct, got).ok());
+    EXPECT_EQ(got[5], PatternAt(5));
+    ASSERT_TRUE(ds.Close().ok());
+  }
+  const pfs::Stats s1 = fs.stats();
+  EXPECT_EQ(s1.write_requests, s0.write_requests);
+  EXPECT_EQ(s1.bytes_written, s0.bytes_written);
+  for (std::size_t i = 0; i < before.size(); ++i)
+    EXPECT_EQ(FileBytes(fs, paths[i]), before[i]) << paths[i];
+}
+
+TEST(Integrity, ReadOnlyParallelSessionWritesNothing) {
+  pfs::FileSystem fs;
+  CreateGrid(fs);
+  const std::string paths[] = {"g.nc", ncformat::SumsPath("g.nc"),
+                               ncformat::JournalPath("g.nc")};
+  std::vector<std::vector<std::byte>> before;
+  for (const auto& p : paths) before.push_back(FileBytes(fs, p));
+  const pfs::Stats s0 = fs.stats();
+  simmpi::Run(kRanks, [&](Comm& c) {
+    auto ds = pnetcdf::Dataset::Open(c, fs, "g.nc", /*writable=*/false,
+                                     simmpi::NullInfo())
+                  .value();
+    std::vector<signed char> got(kRows * kCols);
+    const std::uint64_t st[] = {0, 0};
+    const std::uint64_t ct[] = {kRows, kCols};
+    ASSERT_TRUE(ds.GetVaraAll<signed char>(0, st, ct, got).ok());
+    ASSERT_TRUE(ds.Close().ok());
+  });
+  const pfs::Stats s1 = fs.stats();
+  // The one zero-length request is the open's own metadata round trip
+  // (mpiio::File::Open charges it as a sync-shaped request on rank 0).
+  EXPECT_EQ(s1.write_requests, s0.write_requests + 1);
+  EXPECT_EQ(s1.bytes_written, s0.bytes_written);
+  for (std::size_t i = 0; i < before.size(); ++i)
+    EXPECT_EQ(FileBytes(fs, paths[i]), before[i]) << paths[i];
 }
 
 // ------------------------------------- telemetry: counters + black box

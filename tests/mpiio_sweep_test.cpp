@@ -90,7 +90,7 @@ INSTANTIATE_TEST_SUITE_P(
         SweepCase{3, "2", "", "", ""}),
     [](const auto& info) {
       const auto& p = info.param;
-      std::string n = "p" + std::to_string(p.nprocs);
+      std::string n = std::string("p").append(std::to_string(p.nprocs));
       if (*p.cb_nodes) n += std::string("_agg") + p.cb_nodes;
       if (*p.cb_buffer) n += std::string("_cb") + p.cb_buffer;
       if (*p.cb_write) n += "_nocoll";

@@ -24,7 +24,7 @@ TEST(Nonblocking, AggregatedPutsAcrossVariables) {
     std::vector<int> vars;
     for (int v = 0; v < 6; ++v)
       vars.push_back(
-          ds.DefVar("v" + std::to_string(v), NcType::kInt, {x}).value());
+          ds.DefVar(std::string("v").append(std::to_string(v)), NcType::kInt, {x}).value());
     ASSERT_TRUE(ds.EndDef().ok());
 
     NonblockingQueue q(ds);
@@ -131,7 +131,7 @@ TEST(Nonblocking, RecordVariablesAggregateAcrossRecords) {
       const int x = ds.DefDim("x", 8).value();
       std::vector<int> vars;
       for (int v = 0; v < 8; ++v)
-        vars.push_back(ds.DefVar("r" + std::to_string(v), NcType::kDouble,
+        vars.push_back(ds.DefVar(std::string("r").append(std::to_string(v)), NcType::kDouble,
                                  {t, x})
                            .value());
       ASSERT_TRUE(ds.EndDef().ok());
