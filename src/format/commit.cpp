@@ -14,24 +14,10 @@ constexpr std::byte kMagic[kJournalMagicLen] = {
     std::byte{'N'}, std::byte{'C'}, std::byte{'J'}, std::byte{'L'},
     std::byte{'0'}, std::byte{'1'}, std::byte{0},   std::byte{0}};
 
-void PutU32(std::byte* p, std::uint32_t v) {
-  const std::uint32_t big = pnc::xdr::ToBig(v);
-  std::memcpy(p, &big, 4);
-}
-void PutU64(std::byte* p, std::uint64_t v) {
-  const std::uint64_t big = pnc::xdr::ToBig(v);
-  std::memcpy(p, &big, 8);
-}
-std::uint32_t GetU32(const std::byte* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, 4);
-  return pnc::xdr::FromBig(v);
-}
-std::uint64_t GetU64(const std::byte* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, 8);
-  return pnc::xdr::FromBig(v);
-}
+using pnc::xdr::GetU32;
+using pnc::xdr::GetU64;
+using pnc::xdr::PutU32;
+using pnc::xdr::PutU64;
 
 /// Encode a slot: rec_crc covers the first 28 bytes.
 std::vector<std::byte> EncodeSlot(const CommitState& s) {

@@ -8,6 +8,7 @@
 #include "iostat/iostat.hpp"
 #include "util/crc32.hpp"
 #include "util/env.hpp"
+#include "util/xdr.hpp"
 
 namespace ncformat {
 
@@ -16,24 +17,10 @@ namespace {
 constexpr char kSumsMagic[kSumsMagicLen] = {'N', 'C', 'S', 'M',
                                             '0', '1', '\0', '\0'};
 
-void PutU32(std::byte* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    p[i] = static_cast<std::byte>((v >> (24 - 8 * i)) & 0xFF);
-}
-void PutU64(std::byte* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    p[i] = static_cast<std::byte>((v >> (56 - 8 * i)) & 0xFF);
-}
-std::uint32_t GetU32(const std::byte* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v = (v << 8) | std::to_integer<std::uint32_t>(p[i]);
-  return v;
-}
-std::uint64_t GetU64(const std::byte* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | std::to_integer<std::uint64_t>(p[i]);
-  return v;
-}
+using pnc::xdr::GetU32;
+using pnc::xdr::GetU64;
+using pnc::xdr::PutU32;
+using pnc::xdr::PutU64;
 
 /// The raw slot contents (before trust decisions).
 struct Slot {

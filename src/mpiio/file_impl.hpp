@@ -56,9 +56,8 @@ struct File::Impl {
   pnc::Status RetrySync();
 };
 
-/// Collective error agreement: allreduce the most severe (most negative)
-/// status code so every rank of a collective returns the same status. Ranks
-/// that failed locally keep their own message; others report a peer failure.
-pnc::Status AgreeStatus(simmpi::Comm& comm, const pnc::Status& local);
+/// What a collective returns on a rank whose own I/O succeeded while a
+/// peer's failed (simmpi::Comm::AgreeStatus).
+inline constexpr std::string_view kPeerIoFailed = "I/O failed on a peer rank";
 
 }  // namespace mpiio

@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <limits>
 
 #include "iostat/events.hpp"
 #include "iostat/iostat.hpp"
@@ -25,38 +24,14 @@ namespace mpiio {
 
 namespace {
 
-// User-space tag block for the fault-tolerant exchange, kept far above any
-// tag application code plausibly uses on the same communicator. Each window
-// round uses two tags (requests, read replies) so a rank racing one round
-// ahead can never match a peer's still-pending receive.
+// User-space tag block for the exchange under an armed rank-fault schedule
+// (simmpi::Comm::AgreeAlltoall), kept far above any tag application code
+// plausibly uses on the same communicator. Each window round uses two tags
+// (requests, read replies) so a rank racing one round ahead can never match
+// a peer's still-pending receive.
 constexpr int kFtTagBase = 1 << 24;
 int FtTag(std::uint64_t w, int phase) {
   return kFtTagBase + static_cast<int>(w) * 2 + phase;
-}
-
-/// Fault-tolerant personalized all-to-all: every live rank posts all its
-/// sends before draining any receive (buffered sends make that legal), so a
-/// rank dying mid-collective only leaves holes — observed via RecvFT — and
-/// never a live peer blocked on a live peer. Returns false when any peer
-/// died; the dead peers' slots in `out` are left empty.
-bool AlltoallFT(simmpi::Comm& c, std::vector<std::vector<std::byte>> send,
-                int tag, std::vector<std::vector<std::byte>>& out) {
-  PNC_IOSTAT_ADD(kMpiCollectives, 1);
-  const int p = c.size();
-  const int rank = c.rank();
-  out.assign(static_cast<std::size_t>(p), {});
-  out[static_cast<std::size_t>(rank)] =
-      std::move(send[static_cast<std::size_t>(rank)]);
-  for (int i = 1; i < p; ++i) {
-    const int dst = (rank + i) % p;
-    c.Send(dst, tag, send[static_cast<std::size_t>(dst)]);
-  }
-  bool ok = true;
-  for (int i = 1; i < p; ++i) {
-    const int src = (rank - i + p) % p;
-    ok = c.RecvFT(src, tag, out[static_cast<std::size_t>(src)]) && ok;
-  }
-  return ok;
 }
 
 /// One rank's portion of a collective, split by aggregator domain: for each
@@ -152,7 +127,7 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
     pnc::Status st = bytes == 0 ? pnc::Status::Ok()
                                 : IndependentIo(offset_etypes, buf, count,
                                                 memtype, is_write);
-    st = AgreeStatus(comm, st);
+    st = comm.AgreeStatus(st, kPeerIoFailed);
     comm.SyncClocksToMax();
     PNC_PROBE(kCollEnd, .t_begin = clk.now(), .write = is_write,
               .flag = st.ok());
@@ -180,63 +155,34 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
     data = staging.data();
   }
 
-  // --- rank-fault tolerance (armed chaos runs only) ---
-  // The exchange itself runs on `work`: normally an alias of the caller's
-  // comm, but under an armed policy the agreed survivor subset. Aggregator
-  // duties of a rank that died before the collective are reassigned simply
-  // because the domain mapping below is computed over `work` — the fallback
+  // The exchange runs on `work`: this comm, or — when a member died before
+  // the collective under an armed rank-fault schedule — the agreed survivor
+  // subset. Aggregator duties of a dead rank are reassigned simply because
+  // the domain mapping below is computed over `work` — the fallback
   // aggregator is deterministic (same formula, smaller comm). A death
-  // *during* the collective surfaces through the FT exchange/agreement and
-  // turns into kRankFailed on every survivor; either way, nobody hangs.
-  const bool ft = comm.FaultsArmed();
-  simmpi::Comm work = comm;
-  bool degraded = false;  ///< a death was observed before the window loop
-  if (ft) {
-    if (comm.SelfDead())
-      return pnc::Status(pnc::Err::kRankFailed, "this rank crashed");
-    const simmpi::AgreeOutcome entry = comm.AgreeFT(0);
-    if (entry.any_dead) work = comm.LiveSubsetFT(entry);
-  }
+  // *during* the collective surfaces through the exchange and the status
+  // agreement and turns into kRankFailed on every survivor; either way,
+  // nobody hangs.
+  auto entered = comm.EnterCollective();
+  if (!entered.ok()) return entered.status();
+  simmpi::Comm work = std::move(entered).value();
   const int wp = work.size();
 
-  // Global extent of the collective.
+  // Global extent of the collective. Empty ranks contribute the identity.
+  // Both folds always run, so every survivor issues the same agreements.
   const std::uint64_t my_min = segs.empty() ? ~0ULL : segs.front().offset;
   const std::uint64_t my_max = segs.empty() ? 0 : segs.back().end();
-  std::uint64_t gmin, gmax;
-  if (ft) {
-    // Min/max via the agreement monitor (an allreduce would abort if a
-    // participant died mid-round). Empty ranks contribute the identity.
-    constexpr std::int64_t kI64Max = std::numeric_limits<std::int64_t>::max();
-    const simmpi::AgreeOutcome rmin = work.AgreeFT(
-        my_min == ~0ULL ? kI64Max : static_cast<std::int64_t>(my_min));
-    const simmpi::AgreeOutcome rmax =
-        work.AgreeFT(-static_cast<std::int64_t>(my_max));
-    degraded = rmin.any_dead || rmax.any_dead;
-    gmin = rmin.min_value == kI64Max ? ~0ULL
-                                     : static_cast<std::uint64_t>(rmin.min_value);
-    gmax = static_cast<std::uint64_t>(-rmax.min_value);
-  } else {
-    gmin = comm.AllreduceMin(my_min);
-    gmax = comm.AllreduceMax(my_max);
-  }
-  if (degraded) {
-    // The group shrank while setting up; skip the transfer and agree on the
-    // failure so every survivor returns the identical status.
-    const pnc::Status st = AgreeStatus(comm, pnc::Status::Ok());
+  std::uint64_t gmin = ~0ULL, gmax = 0;
+  const pnc::Status smin = work.AgreeMin(my_min, &gmin);
+  const pnc::Status smax = work.AgreeMax(my_max, &gmax);
+  if (!smin.ok() || !smax.ok() || gmin >= gmax) {
+    // Nothing to do anywhere, or the group shrank while setting up: skip
+    // the transfer and rendezvous, so every survivor returns the identical
+    // status.
+    const pnc::Status st = comm.Rendezvous();
     PNC_PROBE(kCollEnd, .t_begin = clk.now(), .write = is_write,
-              .flag = false);
+              .flag = st.ok());
     return st;
-  }
-  if (gmin >= gmax) {  // nothing to do anywhere
-    if (ft) {
-      const pnc::Status st = AgreeStatus(comm, pnc::Status::Ok());
-      PNC_PROBE(kCollEnd, .t_begin = clk.now(), .write = is_write,
-                .flag = st.ok());
-      return st;
-    }
-    comm.SyncClocksToMax();
-    PNC_PROBE(kCollEnd, .t_begin = clk.now(), .write = is_write, .flag = true);
-    return pnc::Status::Ok();
   }
 
   // File domains: an even share per aggregator, with boundaries on absolute
@@ -351,13 +297,9 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
       }
     }
     std::vector<std::vector<std::byte>> recvbufs;
-    if (ft) {
-      if (!AlltoallFT(work, std::move(sendbufs), FtTag(w, 0), recvbufs) &&
-          st.ok())
-        st = pnc::Status(pnc::Err::kRankFailed, "a peer rank crashed");
-    } else {
-      recvbufs = comm.Alltoall(std::move(sendbufs));
-    }
+    const pnc::Status xst =
+        work.AgreeAlltoall(std::move(sendbufs), FtTag(w, 0), &recvbufs);
+    if (st.ok()) st = xst;
     PNC_PROBE(kXchgEnd, .t_begin = exchange_start, .t_end = clk.now(),
               .aux = w);
     const double io_start = clk.now();
@@ -465,13 +407,9 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
       const double reply_start = clk.now();
       PNC_PROBE(kXchgBegin, .t_begin = reply_start, .aux = w);
       std::vector<std::vector<std::byte>> returned;
-      if (ft) {
-        if (!AlltoallFT(work, std::move(replies), FtTag(w, 1), returned) &&
-            st.ok())
-          st = pnc::Status(pnc::Err::kRankFailed, "a peer rank crashed");
-      } else {
-        returned = comm.Alltoall(std::move(replies));
-      }
+      const pnc::Status xst =
+          work.AgreeAlltoall(std::move(replies), FtTag(w, 1), &returned);
+      if (st.ok()) st = xst;
       for (std::size_t d = 0; d < naggs; ++d) {
         if (round_data_len[d] == 0) continue;
         const auto& blob = returned[static_cast<std::size_t>(agg_rank(d))];
@@ -499,18 +437,17 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
   // Collective error agreement: all ranks return the same status (most
   // severe code across the communicator), so no rank proceeds believing the
   // collective succeeded while an aggregator failed.
-  st = AgreeStatus(comm, st);
+  st = comm.AgreeStatus(st, kPeerIoFailed);
 
   if (st.ok() && !is_write && !contig_mem && bytes > 0) {
     memtype.Unpack(staging.data(), count, static_cast<std::byte*>(buf));
     clk.Advance(cost.CopyCost(bytes));
   }
-  // Under FT the final agreement already synchronized survivor clocks; an
-  // allreduce here would abort if a participant died mid-collective.
-  // The jump this rank's clock takes at the barrier is exactly how long it
-  // idled waiting for the slowest rank — the straggler-wait timeline track.
+  // The jump this rank's clock takes at the rendezvous is exactly how long
+  // it idled waiting for the slowest rank — the straggler-wait timeline
+  // track.
   const double pre_sync_ns = clk.now();
-  if (!ft) comm.SyncClocksToMax();
+  comm.RendezvousAfterAgreement();
   PNC_PROBE(kCollEnd, .t_begin = clk.now(), .wait_ns = clk.now() - pre_sync_ns,
             .write = is_write, .flag = st.ok());
   return st;

@@ -6,6 +6,25 @@
 
 namespace pfs {
 
+pnc::Status FaultStatus(FaultDecision::Kind k) {
+  switch (k) {
+    case FaultDecision::Kind::kTransient:
+      return pnc::Status(pnc::Err::kIoTransient, "injected transient fault");
+    case FaultDecision::Kind::kPermanent:
+      return pnc::Status(pnc::Err::kIo, "injected permanent fault");
+    case FaultDecision::Kind::kCrash:
+      return pnc::Status(pnc::Err::kIo, "injected crash: image frozen");
+    default:
+      return pnc::Status::Ok();
+  }
+}
+
+const char* FaultDetail(FaultDecision::Kind k) {
+  static constexpr const char* kDetail[] = {
+      "ok", "transient", "permanent", "short", "bitflip", "at_rest", "crash"};
+  return kDetail[static_cast<int>(k)];
+}
+
 FaultInjector::FaultInjector(FaultPolicy policy)
     : policy_(std::move(policy)), rng_(policy_.seed) {}
 
@@ -180,16 +199,13 @@ FaultyByteStore::Outcome FaultyByteStore::FaultedWrite(std::uint64_t offset,
                                                        double now_ns) {
   const FaultDecision d =
       injector_->Decide(/*is_write=*/true, data.size(), server, now_ns);
+  pnc::Status st = FaultStatus(d.kind);
+  if (!st.ok()) {
+    // Power loss mid-write: a torn prefix lands, the ack never arrives.
+    if (d.torn_bytes > 0) inner_->Write(offset, data.first(d.torn_bytes));
+    return {std::move(st), 0, d.kind};
+  }
   switch (d.kind) {
-    case FaultDecision::Kind::kTransient:
-      return {pnc::Status(pnc::Err::kIoTransient, "injected transient fault"),
-              0};
-    case FaultDecision::Kind::kPermanent:
-      return {pnc::Status(pnc::Err::kIo, "injected permanent fault"), 0};
-    case FaultDecision::Kind::kCrash:
-      // Power loss mid-write: a torn prefix lands, the ack never arrives.
-      if (d.torn_bytes > 0) inner_->Write(offset, data.first(d.torn_bytes));
-      return {pnc::Status(pnc::Err::kIo, "injected crash: image frozen"), 0};
     case FaultDecision::Kind::kShort:
       inner_->Write(offset, data.first(d.short_bytes));
       return {pnc::Status::Ok(), d.short_bytes};
@@ -215,14 +231,9 @@ FaultyByteStore::Outcome FaultyByteStore::FaultedRead(std::uint64_t offset,
                                                       double now_ns) const {
   const FaultDecision d =
       injector_->Decide(/*is_write=*/false, out.size(), server, now_ns);
+  pnc::Status st = FaultStatus(d.kind);
+  if (!st.ok()) return {std::move(st), 0, d.kind};
   switch (d.kind) {
-    case FaultDecision::Kind::kTransient:
-      return {pnc::Status(pnc::Err::kIoTransient, "injected transient fault"),
-              0};
-    case FaultDecision::Kind::kPermanent:
-      return {pnc::Status(pnc::Err::kIo, "injected permanent fault"), 0};
-    case FaultDecision::Kind::kCrash:
-      return {pnc::Status(pnc::Err::kIo, "injected crash: image frozen"), 0};
     case FaultDecision::Kind::kShort:
       inner_->Read(offset, out.first(d.short_bytes));
       return {pnc::Status::Ok(), d.short_bytes};

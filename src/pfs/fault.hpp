@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "util/rng.hpp"
+#include "util/status.hpp"
 
 namespace pfs {
 
@@ -144,6 +145,13 @@ struct FaultDecision {
   unsigned flip_bit = 0;          ///< kBitFlip/kAtRest: bit in that byte
   std::uint64_t torn_bytes = 0;   ///< kCrash on a write: prefix that lands
 };
+
+/// The status an op reports for a decision of kind `k`: the injected error,
+/// or Ok for the kinds whose bytes still move (short, bit flip, at rest).
+pnc::Status FaultStatus(FaultDecision::Kind k);
+/// The flight-recorder detail naming a fault of kind `k` (a table in Kind
+/// order).
+const char* FaultDetail(FaultDecision::Kind k);
 
 /// Seeded, thread-safe decision engine shared by all files of a FileSystem.
 /// One global op counter orders all fault-injectable operations, so a

@@ -159,6 +159,17 @@ double File::HarnessWrite(std::uint64_t offset, pnc::ConstByteSpan data,
                            start_ns, tenant_);
 }
 
+namespace {
+/// One injected fault on the flight recorder, plus the black-box dump for a
+/// hard (permanent or crash) one.
+void RecordFault(FaultDecision::Kind k, double start_ns, bool is_write) {
+  PNC_PROBE(kPfsFault, .t_begin = start_ns, .write = is_write,
+            .detail = FaultDetail(k));
+  if (k == FaultDecision::Kind::kPermanent || k == FaultDecision::Kind::kCrash)
+    PNC_IOSTAT_EVENT_DUMP_HARD("pfs-hard-fault");
+}
+}  // namespace
+
 IoResult File::TryRead(std::uint64_t offset, pnc::ByteSpan out,
                        double start_ns) {
   FaultyByteStore::Outcome oc;
@@ -167,13 +178,7 @@ IoResult File::TryRead(std::uint64_t offset, pnc::ByteSpan out,
     oc = node_->faulty->FaultedRead(offset, out, fs_->PrimaryServer(offset),
                                     start_ns);
   }
-  if (!oc.status.ok()) {
-    const bool transient = oc.status.code() == pnc::Err::kIoTransient;
-    PNC_PROBE(kPfsFault, .t_begin = start_ns, .write = false,
-              .detail = transient ? "transient"
-                                  : (fs_->crashed() ? "crash" : "permanent"));
-    if (!transient) PNC_IOSTAT_EVENT_DUMP_HARD("pfs-hard-fault");
-  }
+  if (!oc.status.ok()) RecordFault(oc.kind, start_ns, /*is_write=*/false);
   // A failed attempt still costs a (zero-payload) round trip: the request
   // reached the servers before the error came back.
   const double done = fs_->ServeRequest(offset, oc.status.ok() ? oc.transferred
@@ -193,34 +198,20 @@ IoResult File::TryWrite(std::uint64_t offset, pnc::ConstByteSpan data,
       const FaultDecision d = fs_->injector_->Decide(
           /*is_write=*/true, data.size(), fs_->PrimaryServer(offset),
           start_ns);
-      if (d.kind == FaultDecision::Kind::kTransient) {
-        oc = {pnc::Status(pnc::Err::kIoTransient, "injected transient fault"),
-              0};
-      } else if (d.kind == FaultDecision::Kind::kPermanent) {
-        oc = {pnc::Status(pnc::Err::kIo, "injected permanent fault"), 0};
-      } else if (d.kind == FaultDecision::Kind::kCrash) {
-        node_->discarded_size =
-            std::max(node_->discarded_size, offset + d.torn_bytes);
-        oc = {pnc::Status(pnc::Err::kIo, "injected crash: image frozen"), 0};
-      } else {
-        const std::uint64_t n = d.kind == FaultDecision::Kind::kShort
-                                    ? d.short_bytes
-                                    : data.size();
-        node_->discarded_size = std::max(node_->discarded_size, offset + n);
-        oc = {pnc::Status::Ok(), n};
-      }
+      oc = {FaultStatus(d.kind), 0, d.kind};
+      if (oc.status.ok())
+        oc.transferred = d.kind == FaultDecision::Kind::kShort ? d.short_bytes
+                                                               : data.size();
+      // What lands: the transfer, or a crash's torn prefix.
+      if (oc.status.ok() || d.kind == FaultDecision::Kind::kCrash)
+        node_->discarded_size = std::max(
+            node_->discarded_size, offset + oc.transferred + d.torn_bytes);
     } else {
       oc = node_->faulty->FaultedWrite(offset, data, fs_->PrimaryServer(offset),
                                        start_ns);
     }
   }
-  if (!oc.status.ok()) {
-    const bool transient = oc.status.code() == pnc::Err::kIoTransient;
-    PNC_PROBE(kPfsFault, .t_begin = start_ns, .write = true,
-              .detail = transient ? "transient"
-                                  : (fs_->crashed() ? "crash" : "permanent"));
-    if (!transient) PNC_IOSTAT_EVENT_DUMP_HARD("pfs-hard-fault");
-  }
+  if (!oc.status.ok()) RecordFault(oc.kind, start_ns, /*is_write=*/true);
   const double done = fs_->ServeRequest(offset, oc.status.ok() ? oc.transferred
                                                                : 0,
                                         /*is_write=*/true, start_ns, tenant_);
@@ -232,28 +223,10 @@ IoResult File::TrySync(double start_ns) {
       fs_->injector_->Decide(/*is_write=*/true, 0, /*server=*/0, start_ns);
   const double done =
       fs_->ServeRequest(0, 0, /*is_write=*/true, start_ns, tenant_);
-  if (d.kind != FaultDecision::Kind::kOk) {
-    const char* kind = "permanent";
-    if (d.kind == FaultDecision::Kind::kTransient) kind = "transient";
-    else if (d.kind == FaultDecision::Kind::kCrash) kind = "crash";
-    else if (d.kind == FaultDecision::Kind::kShort) kind = "short";
-    else if (d.kind == FaultDecision::Kind::kBitFlip) kind = "bitflip";
-    else if (d.kind == FaultDecision::Kind::kAtRest) kind = "at_rest";
-    PNC_PROBE(kPfsFault, .t_begin = start_ns, .write = true, .detail = kind);
-    if (d.kind == FaultDecision::Kind::kPermanent ||
-        d.kind == FaultDecision::Kind::kCrash)
-      PNC_IOSTAT_EVENT_DUMP_HARD("pfs-hard-fault");
-  }
-  if (d.kind == FaultDecision::Kind::kTransient)
-    return {pnc::Status(pnc::Err::kIoTransient, "injected transient fault"), 0,
-            done};
-  if (d.kind == FaultDecision::Kind::kPermanent ||
-      d.kind == FaultDecision::Kind::kCrash)
-    return {pnc::Status(pnc::Err::kIo, d.kind == FaultDecision::Kind::kCrash
-                                           ? "injected crash: image frozen"
-                                           : "injected permanent fault"),
-            0, done};
-  return {pnc::Status::Ok(), 0, done};
+  // A sync moves no bytes, so every decision other than kOk is recorded.
+  if (d.kind != FaultDecision::Kind::kOk)
+    RecordFault(d.kind, start_ns, /*is_write=*/true);
+  return {FaultStatus(d.kind), 0, done};
 }
 
 void File::RecordRetry(bool is_write) { fs_->RecordRetry(is_write); }

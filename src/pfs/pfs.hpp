@@ -165,6 +165,7 @@ class FaultyByteStore final : public ByteStore {
   struct Outcome {
     pnc::Status status;
     std::uint64_t transferred = 0;
+    FaultDecision::Kind kind = FaultDecision::Kind::kOk;  ///< when failed
   };
 
   /// Fault-injected write: on a transient/permanent decision nothing is

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 
 #include "format/commit.hpp"
 #include "format/commit_pfs.hpp"
@@ -57,7 +56,7 @@ struct Dataset::Impl {
   // collective on this dataset observed a peer death, further data-mode
   // calls refuse with kRankFailed and Close skips the collective numrecs
   // commit (the journal keeps the last committed header legal). Survivors
-  // shrink the communicator (Comm::AgreeFT + LiveSubsetFT) and reopen.
+  // reopen on the survivor subset of the communicator.
   bool rank_failed = false;
 
   // Data integrity (format/sums.hpp). Mirrors the journal: the sidecar
@@ -80,103 +79,17 @@ struct Dataset::Impl {
 
 namespace {
 
-// ---------------------------------------------- rank-fault tolerance
-// Taken only when a rank-fault schedule is armed on the communicator: the
-// raw collectives (bcast/barrier/allreduce) abort on contact with a dead
-// peer, while the agreement protocol completes on the survivors and turns
-// the death into an agreed kRankFailed.
-
-constexpr std::int64_t kI64Max = std::numeric_limits<std::int64_t>::max();
-
-/// User-tag window for the FT header broadcast, disjoint from the mpiio
-/// two-phase exchange tags (which live under 1 << 24).
+/// User tag of the header broadcast under an armed rank-fault schedule,
+/// above the mpiio two-phase exchange tags (which start at 1 << 24).
 constexpr int kFtHeaderTag = 1 << 25;
 
-/// One fault-tolerant agreement round folding the minimum of `v` over the
-/// live ranks. A detected death marks the dataset degraded.
-pnc::Status FtAgreeMin(Dataset::Impl& im, std::int64_t v, std::int64_t* out) {
-  if (im.comm.SelfDead())
-    return pnc::Status(pnc::Err::kRankFailed, "this rank crashed");
-  const simmpi::AgreeOutcome o = im.comm.AgreeFT(v);
-  if (out) *out = o.min_value;
-  if (o.any_dead) {
-    im.rank_failed = true;
-    return pnc::Status(pnc::Err::kRankFailed, "a peer rank crashed");
-  }
-  return pnc::Status::Ok();
-}
-
-/// Agree on the minimum (`max`: the maximum) of `v` over the ranks: an
-/// allreduce or, when a rank-fault schedule is armed, the fault-tolerant
-/// min-fold (of -v for the maximum).
-template <typename T>
-pnc::Status AgreeFold(Dataset::Impl& im, T v, bool max, T* out) {
-  if (!im.comm.FaultsArmed()) {
-    *out = max ? im.comm.AllreduceMax<T>(v) : im.comm.AllreduceMin<T>(v);
-    return pnc::Status::Ok();
-  }
-  const std::int64_t sign = max ? -1 : 1;
-  std::int64_t folded = 0;
-  const pnc::Status st =
-      FtAgreeMin(im, sign * static_cast<std::int64_t>(v), &folded);
-  *out = static_cast<T>(sign * folded);
+/// Sticky degradation for statuses coming back from a collective: the
+/// agreements on the communicator and the mpiio layer's own (two-phase,
+/// Sync, SetView...).
+pnc::Status Track(Dataset::Impl& im, pnc::Status st) {
+  if (st.code() == pnc::Err::kRankFailed) im.rank_failed = true;
+  if (st.code() == pnc::Err::kDataCorrupt) im.data_corrupt = true;
   return st;
-}
-
-/// Root-broadcast of a byte buffer: plain sends from the root (a send to a
-/// dead destination is dropped, never blocks), fault-tolerant receives
-/// elsewhere, then an agreement so a mid-broadcast root death surfaces as
-/// kRankFailed on every survivor instead of an abort.
-pnc::Status FtBcastBytes(Dataset::Impl& im, std::vector<std::byte>& bytes) {
-  std::int64_t ok = 1;
-  if (im.comm.rank() == 0) {
-    for (int r = 1; r < im.comm.size(); ++r)
-      im.comm.Send(r, kFtHeaderTag,
-                   pnc::ConstByteSpan(bytes.data(), bytes.size()));
-  } else if (!im.comm.RecvFT(0, kFtHeaderTag, bytes)) {
-    ok = 0;
-  }
-  std::int64_t all_ok = 0;
-  PNC_RETURN_IF_ERROR(FtAgreeMin(im, ok, &all_ok));
-  if (all_ok == 0) {
-    im.rank_failed = true;
-    return pnc::Status(pnc::Err::kRankFailed, "root died mid-broadcast");
-  }
-  return pnc::Status::Ok();
-}
-
-/// 64-bit FNV-1a over a header image, for agreeing on definition-phase
-/// results without shipping the bytes. Shifted into the non-negative range
-/// so the min/max agreement folds never negate INT64_MIN.
-std::int64_t HashBytes(const std::vector<std::byte>& b) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const std::byte c : b) {
-    h ^= static_cast<std::uint64_t>(c);
-    h *= 1099511628211ULL;
-  }
-  return static_cast<std::int64_t>(h >> 1);
-}
-
-/// Agree on the root's value of `v` (a status, a flag): a broadcast or,
-/// when a rank-fault schedule is armed, the min-fold to which peers
-/// contribute the +inf sentinel, so it delivers the root's value verbatim.
-pnc::Status AgreeRoot(Dataset::Impl& im, int* v) {
-  if (!im.comm.FaultsArmed()) {
-    im.comm.BcastValue(*v, 0);
-    return pnc::Status::Ok();
-  }
-  std::int64_t agreed = 0;
-  PNC_RETURN_IF_ERROR(
-      FtAgreeMin(im, im.comm.rank() == 0 ? *v : kI64Max, &agreed));
-  *v = static_cast<int>(agreed);
-  return pnc::Status::Ok();
-}
-
-/// A barrier, fault tolerant when a rank-fault schedule is armed.
-pnc::Status AgreeBarrier(Dataset::Impl& im) {
-  if (im.comm.FaultsArmed()) return FtAgreeMin(im, 0, nullptr);
-  im.comm.Barrier();
-  return pnc::Status::Ok();
 }
 
 /// The §4.2.1 root-performs-then-agrees tail: every rank returns the root's
@@ -184,17 +97,9 @@ pnc::Status AgreeBarrier(Dataset::Impl& im) {
 /// reached by everyone or no one.
 pnc::Status AgreeRootStatus(Dataset::Impl& im, int err,
                             const std::string& what) {
-  PNC_RETURN_IF_ERROR(AgreeRoot(im, &err));
+  PNC_RETURN_IF_ERROR(Track(im, im.comm.AgreeRoot(&err)));
   if (err != 0) return pnc::Status(static_cast<pnc::Err>(err), what);
-  return AgreeBarrier(im);
-}
-
-/// Sticky degradation for statuses coming back from the mpiio layer's own
-/// failure agreement (two-phase, Sync, SetView...).
-pnc::Status Track(Dataset::Impl& im, pnc::Status st) {
-  if (st.code() == pnc::Err::kRankFailed) im.rank_failed = true;
-  if (st.code() == pnc::Err::kDataCorrupt) im.data_corrupt = true;
-  return st;
+  return Track(im, im.comm.AgreeBarrier());
 }
 
 }  // namespace
@@ -318,7 +223,7 @@ pnc::Result<Dataset> Dataset::Create(simmpi::Comm comm, pfs::FileSystem& fs,
     jerr = j.status().raw();
     if (j.ok()) im.journal = std::move(j).value();
   }
-  PNC_RETURN_IF_ERROR(AgreeRoot(im, &jerr));
+  PNC_RETURN_IF_ERROR(Track(im, im.comm.AgreeRoot(&jerr)));
   if (jerr != 0)
     return pnc::Status(static_cast<pnc::Err>(jerr), "commit journal create");
   im.journaled = true;
@@ -340,7 +245,7 @@ pnc::Result<Dataset> Dataset::Create(simmpi::Comm comm, pfs::FileSystem& fs,
     im.sums.on = true;
     im.file.AttachSums(&im.sums.map, /*verify=*/false);
   }
-  PNC_RETURN_IF_ERROR(AgreeBarrier(im));
+  PNC_RETURN_IF_ERROR(Track(im, im.comm.AgreeBarrier()));
   return ds;
 }
 
@@ -387,9 +292,9 @@ pnc::Result<Dataset> Dataset::Open(simmpi::Comm comm, pfs::FileSystem& fs,
     }
     err = rst.raw();
   }
-  PNC_RETURN_IF_ERROR(AgreeRoot(im, &err));
+  PNC_RETURN_IF_ERROR(Track(im, im.comm.AgreeRoot(&err)));
   if (err != 0) return pnc::Status(static_cast<pnc::Err>(err), path);
-  PNC_RETURN_IF_ERROR(AgreeRoot(im, &journaled));
+  PNC_RETURN_IF_ERROR(Track(im, im.comm.AgreeRoot(&journaled)));
   im.journaled = journaled != 0;
 
   // §4.2.1: the root process fetches the file header and broadcasts it; all
@@ -416,13 +321,9 @@ pnc::Result<Dataset> Dataset::Open(simmpi::Comm comm, pfs::FileSystem& fs,
       err = hdr.status().raw();
     }
   }
-  PNC_RETURN_IF_ERROR(AgreeRoot(im, &err));
+  PNC_RETURN_IF_ERROR(Track(im, im.comm.AgreeRoot(&err)));
   if (err != 0) return pnc::Status(static_cast<pnc::Err>(err), path);
-  if (im.comm.FaultsArmed()) {
-    PNC_RETURN_IF_ERROR(FtBcastBytes(im, bytes));
-  } else {
-    im.comm.Bcast(bytes, 0);
-  }
+  PNC_RETURN_IF_ERROR(Track(im, im.comm.AgreeBcast(bytes, kFtHeaderTag)));
   if (im.comm.rank() != 0) {
     auto hdr = Header::Decode(bytes);
     if (!hdr.ok()) return hdr.status();
@@ -441,7 +342,7 @@ pnc::Status Dataset::Redef() {
   im.pre_redef = im.header;
   im.defining = true;
   PNC_PROBE(kModeSwitch, .t_begin = im.comm.clock().now());
-  return AgreeBarrier(im);
+  return Track(im, im.comm.AgreeBarrier());
 }
 
 pnc::Status Dataset::WriteHeaderCollective() {
@@ -496,18 +397,10 @@ pnc::Status Dataset::EndDef() {
   // §4.2.1: all define mode functions are collective and require identical
   // arguments on every process; verify before committing anything to disk.
   auto bytes = im.header.Encode();
-  if (im.comm.FaultsArmed()) {
-    // Agree on the image's hash instead of shipping it: identical headers
-    // iff the min and max of the hash coincide across the live ranks.
-    const std::int64_t h = HashBytes(bytes);
-    std::int64_t mn = 0, mx = 0;
-    PNC_RETURN_IF_ERROR(AgreeFold(im, h, /*max=*/false, &mn));
-    PNC_RETURN_IF_ERROR(AgreeFold(im, h, /*max=*/true, &mx));
-    if (mn != mx)
-      return pnc::Status(pnc::Err::kMultiDefine, "EndDef header mismatch");
-  } else if (!im.comm.AllAgree(bytes)) {
+  bool same = false;
+  PNC_RETURN_IF_ERROR(Track(im, im.comm.AgreeSame(bytes, &same)));
+  if (!same)
     return pnc::Status(pnc::Err::kMultiDefine, "EndDef header mismatch");
-  }
 
   // The root alone marks the moved data unsummed: the flush gathers every
   // rank's pending state to it.
@@ -599,7 +492,7 @@ pnc::Status Dataset::BeginIndepData() {
   auto& im = *impl_;
   if (im.defining) return pnc::Status(pnc::Err::kInDefine);
   if (im.indep) return pnc::Status(pnc::Err::kInIndep);
-  PNC_RETURN_IF_ERROR(AgreeBarrier(im));
+  PNC_RETURN_IF_ERROR(Track(im, im.comm.AgreeBarrier()));
   im.indep = true;
   PNC_PROBE(kModeSwitch, .t_begin = im.comm.clock().now());
   return pnc::Status::Ok();
@@ -722,13 +615,9 @@ pnc::Status Dataset::CheckDataMode(bool need_write, bool collective) const {
 
 pnc::Status Dataset::CollectiveCheck(pnc::Status st, bool collective) {
   if (!collective) return st;
-  std::uint8_t all_ok = 0;
-  PNC_RETURN_IF_ERROR(AgreeFold<std::uint8_t>(*impl_, st.ok() ? 1 : 0,
-                                              /*max=*/false, &all_ok));
-  if (all_ok != 0) return pnc::Status::Ok();
-  return st.ok() ? pnc::Status(pnc::Err::kMultiDefine,
-                               "a peer process failed validation")
-                 : st;
+  return Track(*impl_, impl_->comm.AgreeStatus(
+                           st, "a peer process failed validation",
+                           pnc::Err::kMultiDefine));
 }
 
 pnc::Status Dataset::MoveExternal(int varid,
@@ -809,13 +698,14 @@ pnc::Status Dataset::SyncNumrecs(std::uint64_t local_numrecs, bool collective) {
     return pnc::Status::Ok();
   }
   std::uint64_t global = 0;
-  PNC_RETURN_IF_ERROR(AgreeFold(im, local_numrecs, /*max=*/true, &global));
+  PNC_RETURN_IF_ERROR(Track(im, im.comm.AgreeMax(local_numrecs, &global)));
   // `changed` can differ across ranks (a rank that grew the records locally
   // already holds the new count), so agree on it before the guarded
   // collective section below.
   std::uint8_t changed = 0;
-  PNC_RETURN_IF_ERROR(AgreeFold<std::uint8_t>(
-      im, global != im.header.numrecs ? 1 : 0, /*max=*/true, &changed));
+  PNC_RETURN_IF_ERROR(Track(
+      im, im.comm.AgreeMax<std::uint8_t>(global != im.header.numrecs ? 1 : 0,
+                                         &changed)));
   im.header.numrecs = global;
   if (changed && im.writable) {
     im.file.ClearView();
@@ -1035,13 +925,8 @@ pnc::Status Dataset::RelayoutParallel(const Header& old_header) {
   // is also what makes a move safe: every slice of the source is read before
   // any rank writes, since a destination less than one slice past its
   // source overlaps the next rank's unread slice.
-  const auto agree = [&](const pnc::Status& st) -> pnc::Status {
-    int agreed = 0;
-    PNC_RETURN_IF_ERROR(AgreeFold(im, st.raw(), /*max=*/false, &agreed));
-    if (agreed == 0) return pnc::Status::Ok();
-    return st.raw() == agreed ? st
-                              : pnc::Status(static_cast<pnc::Err>(agreed),
-                                            "relayout failed on a peer rank");
+  const auto agree = [&](const pnc::Status& st) {
+    return Track(im, im.comm.AgreeStatus(st, "relayout failed on a peer rank"));
   };
   if (!plan.ok()) return agree(plan.status());
   std::vector<std::byte> buf;

@@ -668,6 +668,154 @@ AgreeOutcome Comm::AgreeFT(std::int64_t value) {
   return out;
 }
 
+// ------------------------------------------------ fault-aware agreement
+
+namespace {
+const pnc::Status kSelfCrashed(pnc::Err::kRankFailed, "this rank crashed");
+const pnc::Status kPeerCrashed(pnc::Err::kRankFailed, "a peer rank crashed");
+
+/// 64-bit FNV-1a over a byte image.
+std::uint64_t HashBytes(pnc::ConstByteSpan b) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const std::byte c : b) {
+    h ^= static_cast<std::uint64_t>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+}  // namespace
+
+pnc::Status Comm::AgreeLive(std::int64_t v, std::int64_t* out) {
+  if (SelfDead()) return kSelfCrashed;
+  const AgreeOutcome o = AgreeFT(v);
+  if (o.any_dead) return kPeerCrashed;
+  *out = o.min_value;
+  return pnc::Status::Ok();
+}
+
+pnc::Status Comm::AgreeBarrier() {
+  if (!FaultsArmed()) {
+    Barrier();
+    return pnc::Status::Ok();
+  }
+  std::int64_t unused = 0;
+  return AgreeLive(0, &unused);
+}
+
+pnc::Status Comm::AgreeRoot(int* v) {
+  if (!FaultsArmed()) {
+    BcastValue(*v, 0);
+    return pnc::Status::Ok();
+  }
+  std::int64_t agreed = 0;
+  PNC_RETURN_IF_ERROR(AgreeLive(
+      rank_ == 0 ? *v : std::numeric_limits<std::int64_t>::max(), &agreed));
+  *v = static_cast<int>(agreed);
+  return pnc::Status::Ok();
+}
+
+pnc::Status Comm::AgreeStatus(const pnc::Status& local,
+                              std::string_view peer_msg,
+                              std::optional<pnc::Err> peer_err) {
+  // The fold key: the raw code, or -1 (failed) / 0 (ok) when narrowed.
+  const int key = peer_err ? (local.ok() ? 0 : -1) : local.raw();
+  int agreed = 0;
+  if (peer_err) {
+    std::int8_t flag = static_cast<std::int8_t>(key);
+    PNC_RETURN_IF_ERROR(AgreeMin(flag, &flag));
+    agreed = flag;
+  } else {
+    PNC_RETURN_IF_ERROR(AgreeMin(key, &agreed));
+  }
+  if (agreed == 0) return pnc::Status::Ok();
+  if (key == agreed) return local;
+  return pnc::Status(peer_err.value_or(static_cast<pnc::Err>(agreed)),
+                     std::string(peer_msg));
+}
+
+pnc::Status Comm::AgreeBcast(std::vector<std::byte>& bytes, int ft_tag) {
+  if (!FaultsArmed()) {
+    Bcast(bytes, 0);
+    return pnc::Status::Ok();
+  }
+  // Plain sends from the root (a send to a dead destination is dropped,
+  // never blocks), fault-tolerant receives elsewhere.
+  std::int64_t ok = 1;
+  if (rank_ == 0) {
+    for (int r = 1; r < size(); ++r)
+      Send(r, ft_tag, pnc::ConstByteSpan(bytes.data(), bytes.size()));
+  } else if (!RecvFT(0, ft_tag, bytes)) {
+    ok = 0;
+  }
+  std::int64_t all_ok = 0;
+  PNC_RETURN_IF_ERROR(AgreeLive(ok, &all_ok));
+  if (all_ok == 0)
+    return pnc::Status(pnc::Err::kRankFailed, "root died mid-broadcast");
+  return pnc::Status::Ok();
+}
+
+pnc::Status Comm::AgreeSame(pnc::ConstByteSpan bytes, bool* same) {
+  if (!FaultsArmed()) {
+    *same = AllAgree(bytes);
+    return pnc::Status::Ok();
+  }
+  // Agree on the hash instead of shipping the bytes: identical images iff
+  // the min and max of the hash coincide across the live ranks.
+  const std::uint64_t h = HashBytes(bytes);
+  std::uint64_t mn = 0, mx = 0;
+  PNC_RETURN_IF_ERROR(AgreeMin(h, &mn));
+  PNC_RETURN_IF_ERROR(AgreeMax(h, &mx));
+  *same = mn == mx;
+  return pnc::Status::Ok();
+}
+
+pnc::Status Comm::AgreeAlltoall(std::vector<std::vector<std::byte>> send,
+                                int ft_tag,
+                                std::vector<std::vector<std::byte>>* out) {
+  if (!FaultsArmed()) {
+    *out = Alltoall(std::move(send));
+    return pnc::Status::Ok();
+  }
+  // All sends before any receive (buffered sends make that legal), so a
+  // rank dying mid-collective only leaves holes, observed via RecvFT, and
+  // never a live peer blocked on a live peer.
+  PNC_IOSTAT_ADD(kMpiCollectives, 1);
+  const int p = size();
+  out->assign(static_cast<std::size_t>(p), {});
+  (*out)[static_cast<std::size_t>(rank_)] =
+      std::move(send[static_cast<std::size_t>(rank_)]);
+  for (int i = 1; i < p; ++i) {
+    const int dst = (rank_ + i) % p;
+    Send(dst, ft_tag, send[static_cast<std::size_t>(dst)]);
+  }
+  bool ok = true;
+  for (int i = 1; i < p; ++i) {
+    const int src = (rank_ - i + p) % p;
+    ok = RecvFT(src, ft_tag, (*out)[static_cast<std::size_t>(src)]) && ok;
+  }
+  return ok ? pnc::Status::Ok() : kPeerCrashed;
+}
+
+pnc::Result<Comm> Comm::EnterCollective() {
+  if (!FaultsArmed()) return *this;
+  if (SelfDead()) return kSelfCrashed;
+  const AgreeOutcome o = AgreeFT(0);
+  return o.any_dead ? LiveSubsetFT(o) : *this;
+}
+
+pnc::Status Comm::Rendezvous() {
+  if (!FaultsArmed()) {
+    SyncClocksToMax();
+    return pnc::Status::Ok();
+  }
+  std::int64_t unused = 0;
+  return AgreeLive(0, &unused);
+}
+
+void Comm::RendezvousAfterAgreement() {
+  if (!FaultsArmed()) SyncClocksToMax();
+}
+
 Comm Comm::LiveSubsetFT(const AgreeOutcome& o) const {
   std::vector<int> new_members;
   new_members.reserve(o.alive.size());

@@ -19,12 +19,16 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "simmpi/clock.hpp"
 #include "simmpi/rankfault.hpp"
 #include "util/bytes.hpp"
+#include "util/status.hpp"
 
 namespace simmpi {
 
@@ -216,9 +220,68 @@ class Comm {
   /// Used by PnetCDF's collective define-mode consistency checks.
   bool AllAgree(pnc::ConstByteSpan bytes);
 
-  // --- rank-fault tolerance (see rankfault.hpp) ---
-  // These are meaningful only while a RankFaultPolicy is armed; with no
-  // policy armed FaultsArmed() is false and the *FT calls must not be used.
+  // --- fault-aware agreement (paper §4.2.1: the root acts, every rank
+  // agrees) ---
+  // The one place that chooses between a plain collective and a
+  // fault-tolerant agreement. With no rank-fault schedule armed each helper
+  // issues exactly the plain collective named below and returns Ok. Armed,
+  // it runs through AgreeFT, so a crashed member turns into kRankFailed on
+  // every survivor instead of a hang or an abort; a rank that has itself
+  // crashed gets kRankFailed at once.
+
+  /// Barrier (armed: one agreement round).
+  pnc::Status AgreeBarrier();
+  /// Every rank leaves with rank 0's `*v` (a status, a flag): BcastValue
+  /// (armed: a min-fold to which the other ranks contribute +inf).
+  pnc::Status AgreeRoot(int* v);
+  /// `*out` = the minimum (maximum) of `v` over the ranks: AllreduceMin
+  /// (AllreduceMax) of T (armed: an order-preserving min-fold).
+  template <typename T>
+  pnc::Status AgreeMin(T v, T* out) {
+    return AgreeFold(v, /*max=*/false, out);
+  }
+  template <typename T>
+  pnc::Status AgreeMax(T v, T* out) {
+    return AgreeFold(v, /*max=*/true, out);
+  }
+  /// Status agreement, the most severe status wins: Ok everywhere when all
+  /// ranks were ok; a rank holding the most severe (most negative) code
+  /// keeps its own status and every other rank gets that code with
+  /// `peer_msg` (AllreduceMin of the int code). With `peer_err` set the
+  /// fold narrows to a one-byte failed flag: every failed rank keeps its own
+  /// status and the others get `peer_err`. Armed, a death outranks any code.
+  pnc::Status AgreeStatus(const pnc::Status& local, std::string_view peer_msg,
+                          std::optional<pnc::Err> peer_err = std::nullopt);
+  /// Rank 0's `bytes` everywhere: Bcast (armed: point-to-point sends on
+  /// `ft_tag`, fault-tolerant receives, then an agreement, so a root that
+  /// dies mid-broadcast is kRankFailed on every survivor).
+  pnc::Status AgreeBcast(std::vector<std::byte>& bytes, int ft_tag);
+  /// `*same` = every rank passed bitwise-identical bytes: AllAgree (armed:
+  /// the min and max of a 64-bit hash of the bytes coincide).
+  pnc::Status AgreeSame(pnc::ConstByteSpan bytes, bool* same);
+  /// Personalized all-to-all (see Alltoall). Armed: every rank posts all
+  /// its sends on `ft_tag` before draining any receive, so a peer dying
+  /// mid-exchange leaves only empty slots in `*out` and kRankFailed.
+  pnc::Status AgreeAlltoall(std::vector<std::vector<std::byte>> send,
+                            int ft_tag,
+                            std::vector<std::vector<std::byte>>* out);
+  /// Collective entry: the communicator the collective runs on — this one,
+  /// or (armed, when a member has died) the agreed survivor subset, over
+  /// which work is re-divided deterministically.
+  pnc::Result<Comm> EnterCollective();
+  /// Pre-collective clock rendezvous: every rank leaves at the latest
+  /// arrival's clock. SyncClocksToMax (armed: one agreement round, which
+  /// also reports a death).
+  pnc::Status Rendezvous();
+  /// Post-collective clock rendezvous, after an agreement: SyncClocksToMax
+  /// (armed: nothing — the agreement already synchronized the survivors,
+  /// and an allreduce would abort on a dead member).
+  void RendezvousAfterAgreement();
+
+  // --- rank-fault tolerance primitives (see rankfault.hpp) ---
+  // The agreement helpers above are built on these. They are meaningful
+  // only while a RankFaultPolicy is armed; with no policy armed
+  // FaultsArmed() is false and the *FT calls must not be used.
 
   /// True when a rank-fault schedule is armed for this world.
   [[nodiscard]] bool FaultsArmed() const { return state_->rfault.armed; }
@@ -283,6 +346,31 @@ class Comm {
                 std::memcpy(a.data(), &x, sizeof(T));
               });
     return v;
+  }
+
+  /// Armed-mode core of the helpers: one AgreeFT round folding the minimum
+  /// of `v`; kRankFailed when this rank or a peer is dead.
+  pnc::Status AgreeLive(std::int64_t v, std::int64_t* out);
+
+  template <typename T>
+  pnc::Status AgreeFold(T v, bool max, T* out) {
+    static_assert(std::is_integral_v<T>);
+    if (!FaultsArmed()) {
+      *out = max ? AllreduceMax<T>(v) : AllreduceMin<T>(v);
+      return pnc::Status::Ok();
+    }
+    // Order-preserving map into int64 (unsigned: flip the top bit); the
+    // maximum is the complement of the minimum of the complements.
+    constexpr std::uint64_t kFlip =
+        std::is_unsigned_v<T> ? std::uint64_t{1} << 63 : 0;
+    std::int64_t key = static_cast<std::int64_t>(
+        static_cast<std::uint64_t>(static_cast<std::int64_t>(v)) ^ kFlip);
+    if (max) key = ~key;
+    std::int64_t agreed = 0;
+    PNC_RETURN_IF_ERROR(AgreeLive(key, &agreed));
+    if (max) agreed = ~agreed;
+    *out = static_cast<T>(static_cast<std::uint64_t>(agreed) ^ kFlip);
+    return pnc::Status::Ok();
   }
 
   void SendInternal(int dst, int tag, pnc::ConstByteSpan data);

@@ -47,6 +47,27 @@ constexpr T FromBig(T v) {
   return kHostIsBig ? v : ByteSwap(v);
 }
 
+/// One big-endian field at a raw position (journal slots, sidecar tables):
+/// the fixed-offset counterpart of Encoder/Decoder.
+inline void PutU32(std::byte* p, std::uint32_t v) {
+  const std::uint32_t big = ToBig(v);
+  std::memcpy(p, &big, 4);
+}
+inline void PutU64(std::byte* p, std::uint64_t v) {
+  const std::uint64_t big = ToBig(v);
+  std::memcpy(p, &big, 8);
+}
+inline std::uint32_t GetU32(const std::byte* p) {
+  std::uint32_t v;
+  std::memcpy(&v, p, 4);
+  return FromBig(v);
+}
+inline std::uint64_t GetU64(const std::byte* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, 8);
+  return FromBig(v);
+}
+
 /// Append-only big-endian encoder used for header serialization.
 class Encoder {
  public:

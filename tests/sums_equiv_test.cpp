@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.hpp"
 #include "flash/flash.hpp"
 #include "format/commit_pfs.hpp"
 #include "format/sums.hpp"
@@ -129,31 +130,11 @@ double Cell(std::uint64_t z, std::uint64_t y, std::uint64_t x) {
   return static_cast<double>((z * kN + y) * kN + x) * 0.5 + 1.0;
 }
 
-/// Split `nprocs` over the axes set in `mask` (bit 0 = Z, 1 = Y, 2 = X):
-/// each prime factor goes to the next set axis in turn, so odd counts get
-/// uneven but complete decompositions.
-void Decompose(int nprocs, unsigned mask, int factors[3]) {
-  factors[0] = factors[1] = factors[2] = 1;
-  std::vector<int> axes;
-  for (int d = 0; d < 3; ++d)
-    if (mask & (1u << d)) axes.push_back(d);
-  std::size_t i = 0;
-  for (int rem = nprocs, p = 2; rem > 1;) {
-    if (rem % p != 0) {
-      ++p;
-      continue;
-    }
-    factors[axes[i++ % axes.size()]] *= p;
-    rem /= p;
-  }
-}
-
 /// A Figure 6 collective write of one partition, then Close.
 /// `committed` (optional) receives rank 0's checksum map after Close.
 void LblWrite(pfs::FileSystem& fs, const char* path, int nprocs,
               unsigned mask, ncformat::ChunkSumMap* committed = nullptr) {
-  int f[3];
-  Decompose(nprocs, mask, f);
+  const std::uint64_t dims[3] = {kN, kN, kN};
   simmpi::Run(nprocs, [&](Comm& c) {
     auto ds = pnetcdf::Dataset::Create(c, fs, path, simmpi::NullInfo()).value();
     const int zd = ds.DefDim("z", kN).value();
@@ -161,17 +142,9 @@ void LblWrite(pfs::FileSystem& fs, const char* path, int nprocs,
     const int xd = ds.DefDim("x", kN).value();
     const int v = ds.DefVar("tt", NcType::kDouble, {zd, yd, xd}).value();
     ASSERT_TRUE(ds.EndDef().ok());
-    std::uint64_t start[3], count[3];
-    int r = c.rank();
-    for (int d = 0; d < 3; ++d) {
-      const int coord = r % f[d];
-      r /= f[d];
-      start[d] = kN * static_cast<std::uint64_t>(coord) /
-                 static_cast<std::uint64_t>(f[d]);
-      count[d] = kN * static_cast<std::uint64_t>(coord + 1) /
-                     static_cast<std::uint64_t>(f[d]) -
-                 start[d];
-    }
+    const bench::Block b = bench::RankBlock(nprocs, mask, c.rank(), dims);
+    const auto& start = b.start;
+    const auto& count = b.count;
     std::vector<double> mine;
     for (std::uint64_t z = 0; z < count[0]; ++z)
       for (std::uint64_t y = 0; y < count[1]; ++y)
