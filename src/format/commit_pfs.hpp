@@ -70,16 +70,15 @@ class PfsCommitIo final : public CommitIo {
 };
 
 /// A dataset's sidecar (commit journal, checksum table) — or its primary,
-/// for recovery analysis — at `path`, billed to the dataset's `tenant`. `create` makes it —
-/// truncating a stale one so a previous file's commits can never be
-/// replayed — and initializes it with `format`; otherwise it is opened.
+/// for recovery analysis — at `path`. `create` makes it — truncating a
+/// stale one so a previous file's commits can never be replayed — and
+/// initializes it with `format`; otherwise it is opened.
 inline pnc::Result<std::unique_ptr<PfsCommitIo>> OpenSidecar(
-    pfs::FileSystem& fs, const std::string& path, bool create, int tenant,
+    pfs::FileSystem& fs, const std::string& path, bool create,
     simmpi::VirtualClock* clock,
     pnc::Status (*format)(CommitIo&) = nullptr) {
   auto f = create ? fs.Create(path, /*exclusive=*/false) : fs.Open(path);
   if (!f.ok()) return f.status();
-  f.value().SetTenant(tenant);
   auto io = std::make_unique<PfsCommitIo>(std::move(f).value(), clock);
   if (format != nullptr) PNC_RETURN_IF_ERROR(format(*io));
   return io;

@@ -1,6 +1,5 @@
 #include "iostat/probe.hpp"
 
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -33,16 +32,6 @@ std::uint32_t SinksFromEnv() {
   return m;
 }
 
-/// The ring detail of a pfs service record: "r"/"w"/"s" for the default
-/// tenant (the legacy strings), "r:<tenant>" etc. otherwise.
-void PfsDetail(const Probe& p, char (&out)[24]) {
-  const char op = p.len == 0 ? 's' : (p.write ? 'w' : 'r');
-  if (p.tenant == nullptr || *p.tenant == '\0')
-    std::snprintf(out, sizeof out, "%c", op);
-  else
-    std::snprintf(out, sizeof out, "%c:%s", op, p.tenant);
-}
-
 }  // namespace
 
 std::atomic<std::uint32_t> g_sinks{SinksFromEnv()};
@@ -58,9 +47,7 @@ void Emit(const Probe& p) {
   const std::uint32_t on =
       g_sinks.load(std::memory_order_relaxed) & SinksOf(p.site);
   // Each sink's fold is a no-op when its bit is off. Within a site the sinks
-  // fold in one order — counters, ring, pattern, timeline — and the
-  // timeline goes last because sealing a bucket can trip an SLO rule, whose
-  // slo_violation event then follows the site's own ring event.
+  // fold in one order — counters, ring, pattern, timeline.
   const auto add = [on](Ctr c, auto n) {
     if (on & kSinkCounters)
       Registry::Get().Add(c, static_cast<std::uint64_t>(n));
@@ -81,13 +68,11 @@ void Emit(const Probe& p) {
   const bool pattern = (on & kSinkPattern) != 0;
   const bool timeline = (on & kSinkTimeline) != 0;
   const auto peer = static_cast<std::uint64_t>(p.server);
-  // The pfs_server ring record; its detail is formatted only when recorded.
+  // The pfs_server ring record; its detail names the operation.
   const auto serve = [&](std::uint64_t a0) {
-    if (!(on & kSinkFlight)) return;
-    char detail[24];
-    PfsDetail(p, detail);
     rec(Ev::kPfsServer, p.t_begin, p.t_end - p.t_begin, a0,
-        static_cast<std::uint64_t>(p.wait_ns), detail);
+        static_cast<std::uint64_t>(p.wait_ns),
+        p.len == 0 ? "s" : (p.write ? "w" : "r"));
   };
   switch (p.site) {
     case Site::kPfsRequest:
@@ -110,9 +95,8 @@ void Emit(const Probe& p) {
                                               p.t_begin, p.t_end, p.aux,
                                               p.wait_ns);
       if (timeline)
-        TimelineRegistry::Get().RecordPfsGrant(p.server, p.tenant, p.len,
-                                               p.t_begin, p.t_end, p.aux,
-                                               p.wait_ns, p.flag);
+        TimelineRegistry::Get().RecordPfsGrant(p.server, p.len, p.t_begin,
+                                               p.t_end, p.aux);
       break;
     case Site::kPfsFault:
       add(Ctr::kPfsFaultsInjected, 1);

@@ -48,12 +48,11 @@ enum class Site : std::uint8_t {
   // ---- pfs ----
   kPfsRequest,    ///< one request served: len, write, aux=servers in the
                   ///< pool, t_end=latest schedule horizon it touched
-  kPfsFlush,      ///< zero-length flush on server 0: tenant,
+  kPfsFlush,      ///< zero-length flush on server 0:
                   ///< t_begin/t_end=service, wait_ns=queue wait
-  kPfsGrant,      ///< one server's share of a request: tenant, server,
+  kPfsGrant,      ///< one server's share of a request: server,
                   ///< offset (request start), len, t_begin/t_end=service,
-                  ///< wait_ns=queue wait, aux=queue depth, write,
-                  ///< flag=deadline missed
+                  ///< wait_ns=queue wait, aux=queue depth, write
   kPfsFault,      ///< injected fault surfaced: t_begin, write, detail=kind
   // ---- mpiio ----
   kIndep,         ///< independent-path call: t_begin, len, write
@@ -97,7 +96,6 @@ enum class Site : std::uint8_t {
 struct Probe {
   Site site;
   std::uint64_t req = 0;          ///< a linked request ID (another rank's)
-  const char* tenant = nullptr;   ///< tenant class name ("" = default)
   int server = 0;                 ///< pfs server, or peer rank
   std::uint64_t offset = 0;       ///< file offset
   std::uint64_t len = 0;          ///< bytes

@@ -77,13 +77,12 @@ std::string ToChromeTrace(const TimelineSummary* timeline) {
   int max_server = -1;
   // Service begin/end edges harvested from kPfsServer events, turned into
   // Chrome counter ("ph":"C") tracks after the main pass: per-server queue
-  // depth and per-tenant in-flight bytes.
+  // depth and in-flight bytes across the pool.
   struct CounterEdge {
     double ts_us;
     int server;
     int depth_delta;
     std::int64_t byte_delta;
-    std::string tenant;
   };
   std::vector<CounterEdge> edges;
   for (std::size_t r = 0; r < events.size(); ++r) {
@@ -129,13 +128,10 @@ std::string ToChromeTrace(const TimelineSummary* timeline) {
           // Zero-length flushes ('s') observe the queue without occupying
           // it; everything else feeds the counter tracks below.
           if (e.detail[0] != 's') {
-            const char* tenant =
-                e.detail[1] == ':' ? e.detail + 2 : "default";
             const std::int64_t bytes =
                 static_cast<std::int64_t>(e.a0 >> 8);
-            edges.push_back({e.t_ns / 1000.0, server, +1, bytes, tenant});
-            edges.push_back(
-                {(e.t_ns + e.d_ns) / 1000.0, server, -1, -bytes, tenant});
+            edges.push_back({e.t_ns / 1000.0, server, +1, bytes});
+            edges.push_back({(e.t_ns + e.d_ns) / 1000.0, server, -1, -bytes});
           }
           AppendF(out,
                   "%s{\"name\":\"serve\",\"cat\":\"pfs\",\"ph\":\"X\","
@@ -152,16 +148,17 @@ std::string ToChromeTrace(const TimelineSummary* timeline) {
       }
     }
   }
-  // Counter tracks: queue depth per server and in-flight bytes per tenant,
-  // as Chrome "ph":"C" events (a sample per service begin/end). Ends sort
-  // before begins at equal timestamps so back-to-back grants do not spike.
+  // Counter tracks: queue depth per server and in-flight bytes (the track
+  // keeps its historical name "inflight bytes default"), as Chrome "ph":"C"
+  // events (a sample per service begin/end). Ends sort before begins at
+  // equal timestamps so back-to-back grants do not spike.
   std::stable_sort(edges.begin(), edges.end(),
                    [](const CounterEdge& a, const CounterEdge& b) {
                      if (a.ts_us != b.ts_us) return a.ts_us < b.ts_us;
                      return a.depth_delta < b.depth_delta;
                    });
   std::map<int, std::int64_t> depth_by_server;
-  std::map<std::string, std::int64_t> inflight_by_tenant;
+  std::int64_t inflight = 0;
   for (const CounterEdge& e : edges) {
     const std::int64_t depth = depth_by_server[e.server] += e.depth_delta;
     AppendF(out,
@@ -170,12 +167,11 @@ std::string ToChromeTrace(const TimelineSummary* timeline) {
             "}}",
             first ? "" : ",", e.server, e.ts_us, e.server, depth);
     first = false;
-    const std::int64_t inflight = inflight_by_tenant[e.tenant] += e.byte_delta;
-    AppendF(out, "%s{\"name\":\"inflight bytes ", first ? "" : ",");
-    pnc::json::AppendEscaped(out, e.tenant.c_str());
+    inflight += e.byte_delta;
     AppendF(out,
-            "\",\"cat\":\"pfs\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,"
-            "\"tid\":0,\"args\":{\"bytes\":%" PRId64 "}}",
+            ",{\"name\":\"inflight bytes default\",\"cat\":\"pfs\","
+            "\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,\"tid\":0,"
+            "\"args\":{\"bytes\":%" PRId64 "}}",
             e.ts_us, inflight);
   }
   for (int s = 0; s <= max_server; ++s) {
@@ -200,16 +196,6 @@ std::string ToChromeTrace(const TimelineSummary* timeline) {
               "\"args\":{\"mbps\":%.3f}}",
               first ? "" : ",", c.server,
               static_cast<double>(c.bucket) * cell_us, c.server, mbps);
-      first = false;
-    }
-    for (const TlTenantCell& c : timeline->tenants) {
-      AppendF(out, "%s{\"name\":\"tl p99 wait us ", first ? "" : ",");
-      pnc::json::AppendEscaped(out, c.tenant.c_str());
-      AppendF(out,
-              "\",\"cat\":\"timeline\",\"ph\":\"C\",\"ts\":%.3f,"
-              "\"pid\":1,\"tid\":0,\"args\":{\"us\":%.3f}}",
-              static_cast<double>(c.bucket) * cell_us,
-              static_cast<double>(c.p99_wait_ns) / 1000.0);
       first = false;
     }
     for (const TlTrackCell& c : timeline->tracks) {

@@ -128,7 +128,7 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
                                 : IndependentIo(offset_etypes, buf, count,
                                                 memtype, is_write);
     st = comm.AgreeStatus(st, kPeerIoFailed);
-    comm.SyncClocksToMax();
+    comm.RendezvousAfterAgreement();
     PNC_PROBE(kCollEnd, .t_begin = clk.now(), .write = is_write,
               .flag = st.ok());
     return st;

@@ -26,7 +26,6 @@ struct Dataset::Impl {
   pfs::FileSystem* fs;
   std::string path;
   bool writable;
-  int tenant = 0;  ///< pfs tenant index (from PNC_TENANT/PNC_QOS_*)
   simmpi::VirtualClock clock;
   BufferedFile io;
 
@@ -81,8 +80,8 @@ pnc::Status Dataset::Impl::SetupOpenSums(bool open_writable) {
   const std::string spath = ncformat::SumsPath(path);
   const bool existed = fs->Exists(spath);
   if (!existed && !open_writable) return pnc::Status::Ok();
-  PNC_ASSIGN_OR_RETURN(sums.io, ncformat::OpenSidecar(*fs, spath, !existed,
-                                                     tenant, &clock));
+  PNC_ASSIGN_OR_RETURN(sums.io,
+                       ncformat::OpenSidecar(*fs, spath, !existed, &clock));
   PNC_ASSIGN_OR_RETURN(const bool armed,
                        sums.Open(!existed, ncformat::SumsOrigin(header)));
   if (armed) io.AttachSums(&sums.map, /*verify=*/true);
@@ -96,15 +95,10 @@ pnc::Result<Dataset> Dataset::Create(pfs::FileSystem& fs,
                                      const CreateOptions& opts) {
   auto f = fs.Create(path, /*exclusive=*/!opts.clobber);
   if (!f.ok()) return f.status();
-  // The serial library has no Info path, so tenant identity comes from the
-  // environment alone (PNC_TENANT/PNC_QOS_*); sidecars bill to it too.
-  const int tenant = fs.RegisterTenant(pfs::TenantClassFromEnv());
-  f.value().SetTenant(tenant);
   Dataset ds;
   ds.impl_ = std::make_shared<Impl>(&fs, std::move(f).value(), path,
                                     /*writable=*/true, opts.buffer_size);
   auto& im = *ds.impl_;
-  im.tenant = tenant;
   im.header.version = opts.use_cdf2 ? 2 : 1;
   im.defining = true;
   im.fresh = true;
@@ -113,7 +107,7 @@ pnc::Result<Dataset> Dataset::Create(pfs::FileSystem& fs,
   PNC_ASSIGN_OR_RETURN(
       im.journal,
       ncformat::OpenSidecar(fs, ncformat::JournalPath(path), /*create=*/true,
-                            tenant, &im.clock, ncformat::FormatJournal));
+                            &im.clock, ncformat::FormatJournal));
   // Same for the chunk-sum sidecar: format (wiping any stale table) and
   // attach. No geometry yet — EndDef sets it once the data region exists.
   // Nothing is committed before then, so a crash leaves it untrusted.
@@ -121,7 +115,7 @@ pnc::Result<Dataset> Dataset::Create(pfs::FileSystem& fs,
     PNC_ASSIGN_OR_RETURN(
         im.sums.io,
         ncformat::OpenSidecar(fs, ncformat::SumsPath(path), /*create=*/true,
-                              tenant, &im.clock, ncformat::FormatSums));
+                              &im.clock, ncformat::FormatSums));
     im.sums.on = true;
     im.io.AttachSums(&im.sums.map, /*verify=*/true);
   }
@@ -132,13 +126,10 @@ pnc::Result<Dataset> Dataset::Open(pfs::FileSystem& fs, const std::string& path,
                                    bool writable, std::uint64_t buffer_size) {
   auto f = fs.Open(path);
   if (!f.ok()) return f.status();
-  const int tenant = fs.RegisterTenant(pfs::TenantClassFromEnv());
-  f.value().SetTenant(tenant);
   Dataset ds;
   ds.impl_ = std::make_shared<Impl>(&fs, f.value(), path, writable,
                                     buffer_size);
   auto& im = *ds.impl_;
-  im.tenant = tenant;
 
   // Crash recovery before anything trusts the on-disk header: if a journal
   // exists and holds a committed state the primary does not match, roll the
@@ -148,8 +139,7 @@ pnc::Result<Dataset> Dataset::Open(pfs::FileSystem& fs, const std::string& path,
   if (fs.Exists(ncformat::JournalPath(path))) {
     PNC_ASSIGN_OR_RETURN(im.journal,
                          ncformat::OpenSidecar(fs, ncformat::JournalPath(path),
-                                               /*create=*/false, tenant,
-                                               &im.clock));
+                                               /*create=*/false, &im.clock));
     ncformat::PfsCommitIo primary(f.value(), &im.clock);
     PNC_ASSIGN_OR_RETURN(
         rec, ncformat::RecoverAtOpen(*im.journal, primary, writable));

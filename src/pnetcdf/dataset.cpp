@@ -122,7 +122,7 @@ pnc::Status Dataset::Impl::SetupOpenSums(bool open_writable, bool root_torn) {
       if (!existed && !open_writable) return false;
       PNC_ASSIGN_OR_RETURN(sums.io,
                            ncformat::OpenSidecar(*fs, spath, !existed,
-                                                 file.tenant(), &comm.clock()));
+                                                 &comm.clock()));
       return sums.Open(!existed, ncformat::SumsOrigin(header));
     }();
     if (!armed.ok()) {
@@ -218,8 +218,8 @@ pnc::Result<Dataset> Dataset::Create(simmpi::Comm comm, pfs::FileSystem& fs,
   int jerr = 0;
   if (im.comm.rank() == 0) {
     auto j = ncformat::OpenSidecar(fs, ncformat::JournalPath(path),
-                                   /*create=*/true, im.file.tenant(),
-                                   &im.comm.clock(), ncformat::FormatJournal);
+                                   /*create=*/true, &im.comm.clock(),
+                                   ncformat::FormatJournal);
     jerr = j.status().raw();
     if (j.ok()) im.journal = std::move(j).value();
   }
@@ -234,8 +234,8 @@ pnc::Result<Dataset> Dataset::Create(simmpi::Comm comm, pfs::FileSystem& fs,
     int serr = 0;
     if (im.comm.rank() == 0) {
       auto s = ncformat::OpenSidecar(fs, ncformat::SumsPath(path),
-                                     /*create=*/true, im.file.tenant(),
-                                     &im.comm.clock(), ncformat::FormatSums);
+                                     /*create=*/true, &im.comm.clock(),
+                                     ncformat::FormatSums);
       serr = s.status().raw();
       if (s.ok()) im.sums.io = std::move(s).value();
     }
@@ -274,10 +274,9 @@ pnc::Result<Dataset> Dataset::Open(simmpi::Comm comm, pfs::FileSystem& fs,
     journaled = 1;
     pnc::Status rst = pnc::Status::Ok();
     auto jf = ncformat::OpenSidecar(fs, ncformat::JournalPath(path),
-                                    /*create=*/false, im.file.tenant(),
-                                    &im.comm.clock());
-    auto pf = ncformat::OpenSidecar(fs, path, /*create=*/false,
-                                    im.file.tenant(), &im.comm.clock());
+                                    /*create=*/false, &im.comm.clock());
+    auto pf =
+        ncformat::OpenSidecar(fs, path, /*create=*/false, &im.comm.clock());
     if (!jf.ok() || !pf.ok()) {
       rst = jf.ok() ? pf.status() : jf.status();
     } else {

@@ -249,6 +249,45 @@ TEST(Chaos, DeadAggregatorDutiesReassignedSurvivorDataLands) {
   }
 }
 
+// With collective buffering disabled every rank writes independently and
+// the collective only agrees on the status. Rank 1 dies at that agreement:
+// the survivors must return kRankFailed, not abort in the closing clock
+// rendezvous with a dead member.
+TEST(Chaos, NoCollectiveBufferingSurvivorsGetRankFailed) {
+  constexpr std::uint64_t kBlock = 1 << 10;
+  pfs::FileSystem fs;
+  std::vector<int> wr_status(4, 1);
+  const RunResult run = simmpi::Run(
+      4,
+      [&](Comm& c) {
+        simmpi::Info info;
+        info.Set("romio_cb_write", "disable");
+        auto f = mpiio::File::Open(c, fs, "nocb.dat",
+                                   mpiio::kCreate | mpiio::kRdWr, info);
+        ASSERT_TRUE(f.ok()) << f.status().message();
+        c.clock().AdvanceTo(2e12);
+        std::vector<std::byte> mine(
+            kBlock, std::byte{static_cast<unsigned char>(0x40 + c.rank())});
+        const pnc::Status st = f.value().WriteAtAll(
+            static_cast<std::uint64_t>(c.rank()) * kBlock, mine.data(),
+            kBlock, simmpi::ByteType());
+        wr_status[static_cast<std::size_t>(c.rank())] = st.raw();
+        (void)f.value().Close();
+      },
+      simmpi::CostModel{}, CrashAtTime(1, 1e12));
+
+  ASSERT_EQ(run.crashed_ranks, (std::vector<int>{1}));
+  for (int r : {0, 2, 3}) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    EXPECT_EQ(wr_status[static_cast<std::size_t>(r)],
+              static_cast<int>(pnc::Err::kRankFailed));
+    // Independent I/O ran before the agreement, so the block landed.
+    EXPECT_EQ(pnc_test::ByteAt(fs, "nocb.dat",
+                               static_cast<std::uint64_t>(r) * kBlock),
+              std::byte{static_cast<unsigned char>(0x40 + r)});
+  }
+}
+
 // ------------------------------------------------------ pnetcdf datasets
 
 /// One full dataset lifecycle; each rank appends the raw status of every

@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <thread>
 
+#include "iostat/iostat.hpp"
 #include "util/rng.hpp"
 
 namespace pfs {
@@ -192,6 +194,77 @@ TEST(TimeModel, CompletionMonotoneInStartTime) {
   const double t2 = f.HarnessWrite(0, data, 5e6);
   EXPECT_GT(t2, t1);
   EXPECT_GE(t2, 5e6);
+}
+
+/// One server, no partial-stripe charge: a request of n bytes holds the
+/// server for exactly 1000 + n ns, and arrives at its start time.
+Config OneServerConfig() {
+  Config c = FastConfig();
+  c.num_servers = 1;
+  c.stripe_size = 1 << 20;
+  c.write_partial_stripe_rmw = false;
+  return c;
+}
+
+TEST(TimeModel, SeededScriptMatchesFcfsArithmeticExactly) {
+  // Each server is one FCFS timeline: a request begins at
+  // max(arrival, next_free) and is done at begin + request_ns + payload_ns.
+  // A seeded script (bursts at equal arrivals, idle gaps, late arrivals
+  // issued after earlier ones) must reproduce that arithmetic bit for bit.
+  FileSystem fs(OneServerConfig());
+  auto f = fs.Create("t", false).value();
+  pnc::SplitMix64 rng(1234);
+  double next_free = 0.0;
+  double t = 0.0;
+  for (int i = 0; i < 400; ++i) {
+    if (rng.Next() % 3 == 0) t += static_cast<double>(rng.Next() % 5000);
+    const std::size_t n = 200 + rng.Next() % 2000;
+    const double begin = std::max(t, next_free);
+    const double done = begin + 1000.0 + static_cast<double>(n);
+    next_free = done;
+    ASSERT_EQ(f.HarnessWrite(0, Pattern(n, 16), t), done) << "request " << i;
+  }
+}
+
+TEST(TimeModel, ZeroLengthFlushObservesQueueWithoutExtendingIt) {
+  FileSystem fs(OneServerConfig());
+  auto f = fs.Create("t", false).value();
+  const double w1 = f.HarnessWrite(0, Pattern(4096, 17), 0.0);
+  EXPECT_EQ(w1, 1000.0 + 4096.0);
+  // A flush arriving while the server is busy begins at next_free...
+  EXPECT_EQ(f.HarnessSync(0.0), w1 + 1000.0);
+  // ...and one arriving after the queue drained begins at its arrival.
+  EXPECT_EQ(f.HarnessSync(1e6), 1e6 + 1000.0);
+  // Neither flush moved the timeline: the next data request still begins
+  // where the first write left it.
+  EXPECT_EQ(f.HarnessWrite(0, Pattern(4096, 18), 0.0), w1 + 1000.0 + 4096.0);
+}
+
+TEST(TimeModel, QueueDepthGaugeCountsOverlappingGrants) {
+#if !PNC_IOSTAT_ENABLED
+  GTEST_SKIP() << "instrumentation compiled out (PNC_IOSTAT=OFF)";
+#endif
+  iostat::Registry& reg = iostat::Registry::Get();
+  reg.Reset();
+  reg.SetCountersEnabled(true);
+  const auto depth = [&reg] {
+    return reg.Value(0, iostat::Ctr::kPfsQueueDepthMax);
+  };
+  FileSystem fs(OneServerConfig());
+  auto f = fs.Create("t", false).value();
+  // Three requests arriving together: each sees the ones still in flight.
+  for (int i = 0; i < 3; ++i) f.HarnessWrite(0, Pattern(1000, 19), 0.0);
+  EXPECT_EQ(depth(), 3u);
+  // After every grant completed, a lone request sees only itself...
+  reg.Reset();
+  reg.SetCountersEnabled(true);
+  f.HarnessWrite(0, Pattern(1000, 20), 1e6);
+  EXPECT_EQ(depth(), 1u);
+  // ...and a second one overlapping it sees two. Flushes never count.
+  f.HarnessSync(1e6);
+  f.HarnessWrite(0, Pattern(1000, 21), 1e6);
+  EXPECT_EQ(depth(), 2u);
+  reg.Reset();
 }
 
 TEST(TimeModel, DataIntegrityUnderConcurrentDisjointWrites) {

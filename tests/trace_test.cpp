@@ -210,8 +210,8 @@ TEST_F(TraceTest, FourRankTwoPhaseWriteExactEvents) {
 // The Chrome-trace exporter's timeline overlay, pinned byte-exactly on a
 // synthetic summary: one counter sample per bucket per series, pid 1,
 // ts = bucket * cell width in microseconds. "tl mbps sN" rides the server's
-// own tid (aligning with its "pfs server N" row); tenant/track counters
-// share tid 0.
+// own tid (aligning with its "pfs server N" row); track counters share
+// tid 0.
 TEST_F(TraceTest, ChromeTraceRendersTimelineCounterTracksExactly) {
   iostat::TimelineSummary s;
   s.present = true;
@@ -220,11 +220,6 @@ TEST_F(TraceTest, ChromeTraceRendersTimelineCounterTracksExactly) {
   // 1 MB in bucket 0 of server 0: 1e6 bytes / 2e6 ns * 1e3 = 500 MB/s.
   s.servers.push_back({0, 0, 1e6, 1.5e6, 3, 2});
   s.servers.push_back({2, 1, 5e5, 1e6, 1, 1});
-  iostat::TlTenantCell t;
-  t.bucket = 1;
-  t.tenant = "steady";
-  t.p99_wait_ns = 4500;
-  s.tenants.push_back(t);
   s.tracks.push_back(
       {static_cast<int>(iostat::TlTrack::kExchangeMsgs), 2, 6.0});
 
@@ -236,10 +231,6 @@ TEST_F(TraceTest, ChromeTraceRendersTimelineCounterTracksExactly) {
   EXPECT_NE(trace.find("{\"name\":\"tl mbps s1\",\"cat\":\"timeline\","
                        "\"ph\":\"C\",\"ts\":4000.000,\"pid\":1,\"tid\":1,"
                        "\"args\":{\"mbps\":250.000}}"),
-            std::string::npos);
-  EXPECT_NE(trace.find("{\"name\":\"tl p99 wait us steady\","
-                       "\"cat\":\"timeline\",\"ph\":\"C\",\"ts\":2000.000,"
-                       "\"pid\":1,\"tid\":0,\"args\":{\"us\":4.500}}"),
             std::string::npos);
   EXPECT_NE(trace.find("{\"name\":\"tl exchange_msgs\",\"cat\":\"timeline\","
                        "\"ph\":\"C\",\"ts\":4000.000,\"pid\":1,\"tid\":0,"
@@ -520,6 +511,34 @@ TEST_F(TraceTest, TransientFaultAndRetryEventsCarryRequestAndVariable) {
   }
   EXPECT_EQ(faults, 1u);
   EXPECT_EQ(retries, 1u);
+}
+
+// ------------------------------------------------ pfs service details
+
+// Every pfs_server record names its operation in one character: "s" for a
+// zero-length flush (the open's round trip), "w" for a write share, "r" for
+// a read share.
+TEST_F(TraceTest, PfsServerEventsCarrySingleCharDetails) {
+  pfs::FileSystem fs;
+  simmpi::Run(1, [&](Comm& c) {
+    auto f = mpiio::File::Open(c, fs, "d.dat", mpiio::kCreate | mpiio::kRdWr,
+                               simmpi::NullInfo())
+                 .value();
+    PNC_IOSTAT_BIND_RANK(c.rank());
+    std::vector<std::byte> b(4096, std::byte{1});
+    ASSERT_TRUE(f.WriteAt(0, b.data(), b.size(), simmpi::ByteType()).ok());
+    ASSERT_TRUE(f.ReadAt(0, b.data(), b.size(), simmpi::ByteType()).ok());
+    ASSERT_TRUE(f.Close().ok());
+  });
+  std::string seen;
+  for (const auto& ev : FlightRecorder::Get().Collect())
+    for (const auto& e : ev)
+      if (e.kind == Ev::kPfsServer) {
+        ASSERT_EQ(std::string(e.detail).size(), 1u) << e.detail;
+        if (seen.find(e.detail[0]) == std::string::npos)
+          seen += e.detail[0];
+      }
+  EXPECT_EQ(seen, "swr");
 }
 
 // ----------------------------------------------------- runtime gating
