@@ -51,6 +51,8 @@ class CommitIo {
   virtual pnc::Status Write(std::uint64_t offset, pnc::ConstByteSpan data) = 0;
   virtual pnc::Status Sync() = 0;
   virtual std::uint64_t Size() = 0;
+  /// Virtual time on the io's clock, for telemetry (0 without a clock).
+  virtual double Now() { return 0.0; }
 };
 
 constexpr std::uint64_t kJournalMagicLen = 8;

@@ -40,6 +40,7 @@ class PfsCommitIo final : public CommitIo {
         [&](int, double) { file_.RecordRetry(/*is_write=*/true); });
   }
   std::uint64_t Size() override { return file_.size(); }
+  double Now() override { return clock_->now(); }
 
   [[nodiscard]] pfs::File& file() { return file_; }
   [[nodiscard]] const pnc::util::RetryPolicy& retry() const { return retry_; }

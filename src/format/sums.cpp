@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <span>
 #include <tuple>
 
 #include "iostat/iostat.hpp"
@@ -50,7 +51,7 @@ std::optional<Slot> DecodeSlot(pnc::ConstByteSpan b) {
   s.table_len = GetU64(b.data() + 8);
   s.table_crc = GetU32(b.data() + 16);
   s.flags = GetU32(b.data() + 20);
-  if (s.seq == 0) return std::nullopt;  // formatted, never committed
+  if (s.seq == 0) return std::nullopt;  // zeroed: never committed
   return s;
 }
 
@@ -269,37 +270,43 @@ pnc::Result<ChunkSumMap> ChunkSumMap::DecodeTable(pnc::ConstByteSpan table) {
 
 // ----------------------------------------------------------- sidecar I/O
 
-pnc::Status FormatSums(CommitIo& io) {
-  std::vector<std::byte> prefix(kSumsTableOffset, std::byte{0});
-  std::memcpy(prefix.data(), kSumsMagic, kSumsMagicLen);
-  if (auto st = io.Write(0, prefix); !st.ok()) return st;
-  return io.Sync();
-}
-
 pnc::Status CommitSums(CommitIo& io, const ChunkSumMap& map, bool open,
                        SumsState* state) {
+  const double t0 = io.Now();
   std::vector<std::byte> table = map.EncodeTable();
-  if (table != state->table) {
-    if (auto st = io.Write(kSumsTableOffset, table); !st.ok()) return st;
-    if (auto st = io.Sync(); !st.ok()) return st;
-  }
   Slot s;
   s.seq = state->seq + 1;
   s.table_len = table.size();
   s.table_crc = pnc::Crc32(table);
   s.flags = open ? kSumsFlagOpen : 0;
   const auto slot = EncodeSlot(s);
-  if (auto st = io.Write(kSumsSlotOffset, slot); !st.ok()) return st;
+  // One request: [magic|slot|table] for the sidecar's first commit (it was
+  // created empty), [slot|table] after, or just [slot] while the table on
+  // the medium is already this one.
+  const bool first = state->seq == 0;
+  std::vector<std::byte> req;
+  req.reserve(kSumsTableOffset + table.size());
+  if (first) {
+    const auto magic = std::as_bytes(std::span(kSumsMagic));
+    req.insert(req.end(), magic.begin(), magic.end());
+  }
+  req.insert(req.end(), slot.begin(), slot.end());
+  if (first || table != state->table)
+    req.insert(req.end(), table.begin(), table.end());
+  if (auto st = io.Write(first ? 0 : kSumsSlotOffset, req); !st.ok())
+    return st;
   if (auto st = io.Sync(); !st.ok()) return st;
   state->seq = s.seq;
   state->open = open;
   state->table = std::move(table);
+  PNC_IOSTAT_ADD(kNcSumCommits, 1);
+  PNC_IOSTAT_ADD(kNcSumCommitNs, io.Now() - t0);
   return pnc::Status::Ok();
 }
 
 pnc::Result<LoadedSums> LoadSums(CommitIo& io, int reread_attempts) {
   LoadedSums out;
-  if (io.Size() < kSumsTableOffset) return out;  // absent / never formatted
+  if (io.Size() < kSumsTableOffset) return out;  // empty: never committed
   // A CRC failure may be a transient flip of the *sidecar read itself*;
   // re-read before giving up, so a flaky medium degrades to untrusted only
   // when the damage is persistent.
@@ -490,7 +497,6 @@ pnc::Status RebuildSums(CommitIo& io, std::uint64_t chunk_size,
     map.Set(map.ChunkOf(cstart),
             {static_cast<std::uint32_t>(clen), pnc::Crc32(chunk)});
   }
-  if (auto st = FormatSums(io); !st.ok()) return st;
   SumsState fresh;
   if (auto st = CommitSums(io, map, /*open=*/false, &fresh); !st.ok())
     return st;
@@ -510,8 +516,7 @@ bool ApplyTrustRule(LoadedSums* loaded, std::uint64_t origin) {
   return stale;
 }
 
-pnc::Result<bool> SumsSession::Open(bool created, std::uint64_t origin) {
-  if (created) PNC_RETURN_IF_ERROR(FormatSums(*io));
+pnc::Result<bool> SumsSession::Open(std::uint64_t origin) {
   PNC_ASSIGN_OR_RETURN(LoadedSums loaded, LoadSums(*io));
   state = loaded.state;
   (void)ApplyTrustRule(&loaded, origin);
@@ -524,6 +529,11 @@ pnc::Result<bool> SumsSession::Open(bool created, std::uint64_t origin) {
   }
   on = true;
   return true;
+}
+
+pnc::Status SumsSession::CommitFlush(bool closing) {
+  if (!closing || !io) return pnc::Status::Ok();
+  return CommitSums(*io, map, /*open=*/false, &state);
 }
 
 void SumsSession::Rebase(std::uint64_t origin, std::uint64_t data_end) {

@@ -18,14 +18,19 @@
 // an entry's `len` is the summed extent within the chunk (the tail chunk is
 // shorter than chunk_size). The table is sparse: only summed chunks appear.
 //
-// Commit discipline mirrors the header journal: write the table, sync,
-// then write the single CRC'd slot (the commit point), sync. A torn update
-// fails the slot or table CRC and simply degrades every chunk to
-// "unsummed" — a torn sidecar can never claim valid sums. `flags` bit 0 is
-// the OPEN marker: a writable session commits it set before mutating data,
-// and clears it only in the final flush at Close. A crash mid-session
-// therefore leaves the sidecar open, and later readers distrust the (now
-// possibly stale) sums instead of flagging freshly written data as corrupt.
+// A commit is one write request, then one sync: [slot|table] at offset 8,
+// or just [slot] while the table on the medium is unchanged. A dataset's
+// sidecar is created empty, which reads as "never committed" exactly like a
+// zeroed slot, so its first commit writes [magic|slot|table] from offset 0.
+// The table is overwritten in place; a torn request fails the slot CRC or
+// the table CRC and degrades every chunk to "unsummed" — a torn sidecar
+// can never claim valid sums. `flags` bit 0 is the OPEN marker: a writable
+// reopen commits it set before mutating data, and only the closing flush
+// at Close commits a table without it. A mid-session flush (Sync) folds the
+// pieces into the map but commits nothing, since an open-marked table is
+// never trusted anyway. A crash mid-session therefore leaves the sidecar
+// open or empty, and later readers distrust the (possibly stale) sums
+// instead of flagging freshly written data as corrupt.
 //
 // Sums are computed from the bytes already in memory, never read back from
 // the medium. Every successful physical write goes through one hook per
@@ -209,15 +214,11 @@ struct SumsState {
   std::vector<std::byte> table;
 };
 
-/// (Re)initialize a sidecar: magic + zeroed slot. Called at dataset
-/// creation so a stale sidecar from a previous file at the same path can
-/// never be replayed.
-[[nodiscard]] pnc::Status FormatSums(CommitIo& io);
-
-/// Durably commit the map: table write, sync, slot write (the commit
-/// point), sync. `open` set leaves the session-open marker in place. A
-/// table identical to the committed one is already durable, so only the
-/// slot is rewritten (the closing commit after a Sync's flush).
+/// Durably commit the map in one request and one sync: [slot|table], with
+/// the magic in front on a sidecar's first commit (`state->seq` 0), or only
+/// the slot when the table equals the committed one. `open` set leaves the
+/// session-open marker in place. Counted in nc.sum_commits and
+/// nc.sum_commit_vns.
 [[nodiscard]] pnc::Status CommitSums(CommitIo& io, const ChunkSumMap& map,
                                      bool open, SumsState* state);
 
@@ -266,12 +267,12 @@ struct SumsSession {
   /// reader never writes the sidecar.
   [[nodiscard]] bool commits() const { return on && writable; }
 
-  /// Open-time decision through `io` (formatted first when `created`):
-  /// load the table, apply the trust rule at `origin` and, when writable,
-  /// commit the session-open marker before any data write can land. False
-  /// (and `io` released) leaves the session unarmed: a read-only open with
-  /// nothing trustworthy to verify against.
-  pnc::Result<bool> Open(bool created, std::uint64_t origin);
+  /// Open-time decision through `io` (an empty sidecar reads as never
+  /// committed): load the table, apply the trust rule at `origin` and, when
+  /// writable, commit the session-open marker before any data write can
+  /// land. False (and `io` released) leaves the session unarmed: a
+  /// read-only open with nothing trustworthy to verify against.
+  pnc::Result<bool> Open(std::uint64_t origin);
 
   /// EndDef: the map follows the data region to `origin`. When it moved (or
   /// had no geometry yet) every committed sum is stale, so the map restarts
@@ -287,6 +288,12 @@ struct SumsSession {
   pnc::Status Settle(std::vector<SumPiece> pieces,
                      const std::set<std::uint64_t>& unsummed,
                      std::uint64_t file_size, const RawRead& raw);
+
+  /// The committing side's last step of a flush, after Settle. Only the
+  /// closing flush commits (the table, closed): a mid-session flush leaves
+  /// the sidecar as the session opened it, because LoadSums never trusts
+  /// the open-marked table a Sync could commit.
+  pnc::Status CommitFlush(bool closing);
 };
 
 /// The integrity hook of both libraries' physical I/O path (mpiio's and the
@@ -357,7 +364,8 @@ struct ScrubReport {
                                                  const RawRead& raw);
 
 /// Rebuild the map from the current file bytes: recompute every chunk of
-/// [data_begin, file_size) and commit the result closed (open=0). The
+/// [data_begin, file_size) and commit the result closed (open=0) as a
+/// first commit, magic included, over whatever the sidecar held. The
 /// caller vouches for the data (e.g. it still passes compare-level ground
 /// truth); after this the current bytes are the integrity baseline.
 [[nodiscard]] pnc::Status RebuildSums(CommitIo& io, std::uint64_t chunk_size,

@@ -56,6 +56,8 @@ const char* CtrName(Ctr c) {
     case Ctr::kNcSumChunksVerified: return "nc.sum_chunks_verified";
     case Ctr::kNcSumMismatch: return "nc.sum_mismatch";
     case Ctr::kNcSumHealedRetries: return "nc.sum_healed_retries";
+    case Ctr::kNcSumCommits: return "nc.sum_commits";
+    case Ctr::kNcSumCommitNs: return "nc.sum_commit_vns";
     case Ctr::kMpiMessages: return "mpi.messages";
     case Ctr::kMpiMessageBytes: return "mpi.message_bytes";
     case Ctr::kMpiCollectives: return "mpi.collectives";

@@ -41,7 +41,8 @@ namespace iostat {
 enum class Ctr : unsigned {
   // --- pfs: the simulated striped file system ---
   kPfsReadOps = 0,        ///< read requests served (incl. zero-length)
-  kPfsWriteOps,           ///< write requests served (incl. sync round trips)
+  kPfsWriteOps,           ///< write requests served (incl. sync and open
+                          ///< round trips)
   kPfsBytesRead,          ///< payload bytes actually transferred by reads
   kPfsBytesWritten,       ///< payload bytes actually transferred by writes
   kPfsFaultsInjected,     ///< failed Try* attempts (transient/permanent/crash)
@@ -79,6 +80,8 @@ enum class Ctr : unsigned {
   kNcSumChunksVerified,   ///< data chunks whose CRC a read recomputed
   kNcSumMismatch,         ///< chunk CRC mismatches observed (pre-heal)
   kNcSumHealedRetries,    ///< chunk re-reads that healed a mismatch
+  kNcSumCommits,          ///< `.ncsum` sidecar commits (CommitSums calls)
+  kNcSumCommitNs,         ///< virtual ns the committing rank spent in them
 
   // --- simmpi: the thread-backed message layer ---
   kMpiMessages,           ///< point-to-point messages delivered

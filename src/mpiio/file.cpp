@@ -26,9 +26,9 @@ pnc::Result<File> File::Open(simmpi::Comm comm, pfs::FileSystem& fs,
                          : fs.Open(path);
     if (r.ok()) {
       handle = std::move(r).value();
-      // Charge one request round trip for the open/create itself — and let a
-      // fault on it surface as an open failure instead of being swallowed.
-      const pfs::IoResult s = handle->TrySync(comm.clock().now());
+      // Charge one metadata round trip for the open/create itself — and let
+      // a fault on it surface as an open failure instead of being swallowed.
+      const pfs::IoResult s = handle->TryOpen(comm.clock().now());
       comm.clock().AdvanceTo(s.done_ns);
       if (!s.ok()) err = s.status.raw();
     } else {

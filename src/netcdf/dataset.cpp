@@ -56,9 +56,9 @@ struct Dataset::Impl {
 };
 
 /// Fold this session's checksum pieces into the map, re-read only the
-/// chunks they do not tile, and commit the map through the `.ncsum`
-/// sidecar (format/sums.hpp: SumsSession). `closing` clears the
-/// session-open marker; a read-only session commits nothing.
+/// chunks they do not tile and, when `closing`, commit the map closed
+/// through the `.ncsum` sidecar (format/sums.hpp: SumsSession). A
+/// read-only session commits nothing.
 pnc::Status Dataset::Impl::FlushSums(bool closing) {
   if (!sums.commits()) return pnc::Status::Ok();
   PNC_RETURN_IF_ERROR(sums.Settle(
@@ -67,8 +67,7 @@ pnc::Status Dataset::Impl::FlushSums(bool closing) {
         return io.ReadUncached(o, out);
       }));
   sums.map.ClearDirty();
-  return ncformat::CommitSums(*sums.io, sums.map, /*open=*/!closing,
-                              &sums.state);
+  return sums.CommitFlush(closing);
 }
 
 /// Arm the integrity subsystem for an opened (not freshly created) dataset.
@@ -83,7 +82,7 @@ pnc::Status Dataset::Impl::SetupOpenSums(bool open_writable) {
   PNC_ASSIGN_OR_RETURN(sums.io,
                        ncformat::OpenSidecar(*fs, spath, !existed, &clock));
   PNC_ASSIGN_OR_RETURN(const bool armed,
-                       sums.Open(!existed, ncformat::SumsOrigin(header)));
+                       sums.Open(ncformat::SumsOrigin(header)));
   if (armed) io.AttachSums(&sums.map, /*verify=*/true);
   return pnc::Status::Ok();
 }
@@ -108,14 +107,15 @@ pnc::Result<Dataset> Dataset::Create(pfs::FileSystem& fs,
       im.journal,
       ncformat::OpenSidecar(fs, ncformat::JournalPath(path), /*create=*/true,
                             &im.clock, ncformat::FormatJournal));
-  // Same for the chunk-sum sidecar: format (wiping any stale table) and
-  // attach. No geometry yet — EndDef sets it once the data region exists.
-  // Nothing is committed before then, so a crash leaves it untrusted.
+  // Same for the chunk-sum sidecar: create it empty (truncating any stale
+  // table; empty reads as never committed) and attach. No geometry yet —
+  // EndDef sets it once the data region exists. Nothing is committed before
+  // Close, so a crash leaves it untrusted.
   if (ncformat::SumsEnabled()) {
     PNC_ASSIGN_OR_RETURN(
         im.sums.io,
         ncformat::OpenSidecar(fs, ncformat::SumsPath(path), /*create=*/true,
-                              &im.clock, ncformat::FormatSums));
+                              &im.clock));
     im.sums.on = true;
     im.io.AttachSums(&im.sums.map, /*verify=*/true);
   }
@@ -201,7 +201,7 @@ pnc::Status Dataset::Sync() {
   if (im.defining) return pnc::Status(pnc::Err::kInDefine);
   if (im.numrecs_dirty) PNC_RETURN_IF_ERROR(WriteNumrecs());
   PNC_RETURN_IF_ERROR(im.io.Sync());
-  // Data durable first, then the sums describing it (still session-open).
+  // Data durable; the pieces fold into the map, which only Close commits.
   return im.FlushSums(/*closing=*/false);
 }
 

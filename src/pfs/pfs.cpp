@@ -130,6 +130,7 @@ struct File::Node {
   std::unique_ptr<ByteStore> store;  ///< always a FaultyByteStore decorator
   FaultyByteStore* faulty = nullptr;  ///< same object, decorated view
   std::uint64_t discarded_size = 0;  ///< logical size under discard_data
+  FileTraffic traffic;  ///< guarded by `mu`
 };
 
 double File::HarnessRead(std::uint64_t offset, pnc::ByteSpan out,
@@ -208,6 +209,8 @@ IoResult File::TryWrite(std::uint64_t offset, pnc::ConstByteSpan data,
       oc = node_->faulty->FaultedWrite(offset, data, fs_->PrimaryServer(offset),
                                        start_ns);
     }
+    node_->traffic.write_requests += 1;
+    if (oc.status.ok()) node_->traffic.bytes_written += oc.transferred;
   }
   if (!oc.status.ok()) RecordFault(oc.kind, start_ns, /*is_write=*/true);
   const double done = fs_->ServeRequest(offset, oc.status.ok() ? oc.transferred
@@ -217,11 +220,24 @@ IoResult File::TryWrite(std::uint64_t offset, pnc::ConstByteSpan data,
 }
 
 IoResult File::TrySync(double start_ns) {
+  {
+    std::lock_guard<std::mutex> lk(node_->mu);
+    node_->traffic.syncs += 1;
+  }
+  return RoundTrip(start_ns, /*metadata=*/false);
+}
+
+IoResult File::TryOpen(double start_ns) {
+  return RoundTrip(start_ns, /*metadata=*/true);
+}
+
+IoResult File::RoundTrip(double start_ns, bool metadata) {
   const FaultDecision d =
       fs_->injector_->Decide(/*is_write=*/true, 0, /*server=*/0, start_ns);
   const double done =
-      fs_->ServeRequest(0, 0, /*is_write=*/true, start_ns);
-  // A sync moves no bytes, so every decision other than kOk is recorded.
+      fs_->ServeRequest(0, 0, /*is_write=*/true, start_ns, metadata);
+  // A round trip moves no bytes, so every decision other than kOk is
+  // recorded.
   if (d.kind != FaultDecision::Kind::kOk)
     RecordFault(d.kind, start_ns, /*is_write=*/true);
   return {FaultStatus(d.kind), 0, done};
@@ -232,6 +248,11 @@ void File::RecordRetry(bool is_write) { fs_->RecordRetry(is_write); }
 std::uint64_t File::size() const {
   std::lock_guard<std::mutex> lk(node_->mu);
   return std::max(node_->store->size(), node_->discarded_size);
+}
+
+FileTraffic File::traffic() const {
+  std::lock_guard<std::mutex> lk(node_->mu);
+  return node_->traffic;
 }
 
 bool File::stores_bytes() const { return !fs_->cfg_.discard_data; }
@@ -385,7 +406,8 @@ std::uint64_t FileSystem::ServerQueue::DepthAt(double arrival_ns) {
 }
 
 double FileSystem::ServeRequest(std::uint64_t offset, std::uint64_t len,
-                                bool is_write, double start_ns) {
+                                bool is_write, double start_ns,
+                                bool metadata) {
   const double per_byte =
       is_write ? cfg_.server_write_ns_per_byte : cfg_.server_read_ns_per_byte;
 
@@ -425,7 +447,9 @@ double FileSystem::ServeRequest(std::uint64_t offset, std::uint64_t len,
   double horizon = 0.0;  // latest server timeline this request touched
   {
     std::lock_guard<std::mutex> lk(mu_);
-    if (is_write) {
+    if (metadata) {
+      stats_.metadata_requests += 1;
+    } else if (is_write) {
       stats_.bytes_written += len;
       stats_.write_requests += 1;
     } else {

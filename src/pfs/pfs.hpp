@@ -83,6 +83,9 @@ struct Stats {
   std::uint64_t bytes_written = 0;
   std::uint64_t read_requests = 0;
   std::uint64_t write_requests = 0;
+  /// Open/create round trips (File::TryOpen): charged like a sync, but not
+  /// a write.
+  std::uint64_t metadata_requests = 0;
   std::uint64_t transient_faults = 0;
   std::uint64_t permanent_faults = 0;
   std::uint64_t short_reads = 0;
@@ -184,6 +187,14 @@ class FaultyByteStore final : public ByteStore {
 
 class FileSystem;
 
+/// Requests one file received through the fault-aware Try* path (the
+/// harness entry points are not counted).
+struct FileTraffic {
+  std::uint64_t write_requests = 0;  ///< TryWrite attempts
+  std::uint64_t bytes_written = 0;   ///< bytes those attempts stored
+  std::uint64_t syncs = 0;           ///< TrySync round trips
+};
+
 /// Outcome of a fault-aware I/O call on pfs::File.
 struct IoResult {
   pnc::Status status;             ///< kIoTransient: retry may succeed
@@ -219,8 +230,12 @@ class File {
   IoResult TryWrite(std::uint64_t offset, pnc::ConstByteSpan data,
                     double start_ns);
   IoResult TrySync(double start_ns);
+  /// The open/create round trip: fault-injected and timed exactly like
+  /// TrySync, but counted in Stats::metadata_requests, not as a write.
+  IoResult TryOpen(double start_ns);
 
   [[nodiscard]] std::uint64_t size() const;
+  [[nodiscard]] FileTraffic traffic() const;
   /// False under Config::discard_data: writes keep no bytes and reads
   /// return zeros.
   [[nodiscard]] bool stores_bytes() const;
@@ -244,6 +259,7 @@ class File {
   friend class FileSystem;
   struct Node;
   File(FileSystem* fs, std::shared_ptr<Node> node) : fs_(fs), node_(std::move(node)) {}
+  IoResult RoundTrip(double start_ns, bool metadata);
   FileSystem* fs_;
   std::shared_ptr<Node> node_;
 };
@@ -288,9 +304,10 @@ class FileSystem {
   friend class File;
 
   /// Queue one contiguous request on the servers its stripes touch and
-  /// return its completion time.
+  /// return its completion time. A `metadata` round trip (zero-length) is
+  /// timed like a sync but counted in Stats::metadata_requests.
   double ServeRequest(std::uint64_t offset, std::uint64_t len, bool is_write,
-                      double start_ns);
+                      double start_ns, bool metadata = false);
   /// The server owning the first stripe of [offset, ...): where a request's
   /// fate is decided under per-server outage windows.
   [[nodiscard]] int PrimaryServer(std::uint64_t offset) const;

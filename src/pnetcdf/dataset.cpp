@@ -123,7 +123,7 @@ pnc::Status Dataset::Impl::SetupOpenSums(bool open_writable, bool root_torn) {
       PNC_ASSIGN_OR_RETURN(sums.io,
                            ncformat::OpenSidecar(*fs, spath, !existed,
                                                  &comm.clock()));
-      return sums.Open(!existed, ncformat::SumsOrigin(header));
+      return sums.Open(ncformat::SumsOrigin(header));
     }();
     if (!armed.ok()) {
       err = armed.status().raw();
@@ -153,9 +153,8 @@ pnc::Status Dataset::Impl::SetupOpenSums(bool open_writable, bool root_torn) {
 /// not sum) are gathered to the root, which folds them into the committed
 /// map (format/sums.hpp: ResolvePieces), re-reads only the chunks the
 /// pieces do not tile — alone and in chunk order, so no read depends on
-/// thread scheduling — and commits the table (still session-open unless
-/// closing). The result is broadcast so every rank resumes from the
-/// identical committed map.
+/// thread scheduling — and, when closing, commits the table closed. The
+/// result is broadcast so every rank resumes from the identical map.
 pnc::Status Dataset::Impl::FlushSums(bool closing) {
   if (!sums.commits()) return pnc::Status::Ok();
   auto& map = sums.map;
@@ -174,8 +173,7 @@ pnc::Status Dataset::Impl::FlushSums(bool closing) {
         [this](std::uint64_t o, pnc::ByteSpan out) {
           return file.ReadAt(o, out.data(), out.size(), simmpi::ByteType());
         });
-    if (st.ok() && sums.io)
-      st = ncformat::CommitSums(*sums.io, map, /*open=*/!closing, &sums.state);
+    if (st.ok()) st = sums.CommitFlush(closing);
     err = st.raw();
   }
   comm.BcastValue(err, 0);
@@ -227,15 +225,15 @@ pnc::Result<Dataset> Dataset::Create(simmpi::Comm comm, pfs::FileSystem& fs,
   if (jerr != 0)
     return pnc::Status(static_cast<pnc::Err>(jerr), "commit journal create");
   im.journaled = true;
-  // Same for the chunk-sum sidecar: the root formats it (wiping any stale
-  // table) and all ranks attach maintain-only. Geometry comes at EndDef;
-  // nothing is committed before then, so a crash leaves it untrusted.
+  // Same for the chunk-sum sidecar: the root creates it empty (truncating
+  // any stale table; empty reads as never committed) and all ranks attach
+  // maintain-only. Nothing is committed before Close, so a crash leaves it
+  // untrusted.
   if (ncformat::SumsEnabled() && !im.comm.FaultsArmed()) {
     int serr = 0;
     if (im.comm.rank() == 0) {
       auto s = ncformat::OpenSidecar(fs, ncformat::SumsPath(path),
-                                     /*create=*/true, &im.comm.clock(),
-                                     ncformat::FormatSums);
+                                     /*create=*/true, &im.comm.clock());
       serr = s.status().raw();
       if (s.ok()) im.sums.io = std::move(s).value();
     }
@@ -425,7 +423,7 @@ pnc::Status Dataset::Sync() {
     return pnc::Status(pnc::Err::kRankFailed, "dataset degraded by a failure");
   PNC_RETURN_IF_ERROR(SyncNumrecs(im.header.numrecs, /*collective=*/true));
   PNC_RETURN_IF_ERROR(Track(im, im.file.Sync()));
-  // Data durable first, then the sums describing it (still session-open).
+  // Data durable; the pieces fold into the map, which only Close commits.
   return im.FlushSums(/*closing=*/false);
 }
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -529,6 +530,106 @@ TEST(CrashSweep, TornSumSidecarSweepNeverReportsCorrupt) {
   // trusted closed table, mid-session crashes degrade to unsummed.
   EXPECT_GT(trusted_outcomes, 0);
   EXPECT_GT(untrusted_outcomes, 0);
+}
+
+// ---------------------------------------------------------------------------
+// .ncsum commit of a fresh dataset: power loss at every byte boundary of
+// Create → data → Sync → Close. The sidecar is created empty, Sync commits
+// nothing to it, and Close writes [magic|slot|table] in one request. The
+// scrub must never report corruption, and the sidecar may be trusted only
+// once that closing commit has landed in full: a trusted sidecar holds
+// exactly the bytes of an uncrashed run. `session` runs the sequence on
+// `fs`; `path` is the dataset it creates.
+void SweepFreshSumCommit(
+    const std::string& path,
+    const std::function<void(pfs::FileSystem&)>& session) {
+  std::vector<std::byte> ref_sidecar;
+  {
+    pfs::FileSystem ref_fs;
+    session(ref_fs);
+    ASSERT_FALSE(ref_fs.crashed());
+    ref_sidecar = pnc_test::FileBytes(ref_fs, ncformat::SumsPath(path));
+    ASSERT_GT(ref_sidecar.size(), ncformat::kSumsTableOffset);
+  }
+  int trusted_outcomes = 0, untrusted_outcomes = 0;
+  for (std::uint64_t t = 0; t < kSweepCeiling; ++t) {
+    pfs::FileSystem fs;
+    const pfs::FaultPolicy pol = ArmCrash(fs, t);
+    SCOPED_TRACE("crash point t=" + std::to_string(t) + " " +
+                 pnc_test::DescribePolicy(pol));
+    session(fs);
+    const bool crashed = fs.crashed();
+    fs.SetFaultPolicy({});  // reboot
+
+    if (!fs.Exists(path)) {
+      ASSERT_TRUE(crashed);  // crash before the primary file existed
+      continue;
+    }
+    // Repair the primary first (a data repair would rebuild the sidecar),
+    // then scrub the data region against the sidecar as the crash left it.
+    auto fixed = nctools::VerifyFile(fs, path, {.repair = true});
+    ASSERT_TRUE(fixed.ok()) << fixed.status().message();
+    auto v = nctools::VerifyFile(fs, path, {.data = true});
+    ASSERT_TRUE(v.ok()) << v.status().message();
+    ASSERT_TRUE(v.value().scrub.has_value());
+    const ncformat::ScrubReport& s = *v.value().scrub;
+    ASSERT_EQ(s.corrupt, 0u) << "false corruption verdict after a crash";
+    if (!crashed) {
+      EXPECT_TRUE(s.trusted) << "a finished Close left no trust";
+    }
+    if (s.trusted) {
+      EXPECT_EQ(pnc_test::FileBytes(fs, ncformat::SumsPath(path)),
+                ref_sidecar)
+          << "trusted before the closing commit finished";
+      EXPECT_EQ(s.unsummed, 0u);
+      EXPECT_GE(s.clean, 1u);
+      ++trusted_outcomes;
+    } else {
+      ++untrusted_outcomes;
+    }
+    if (!crashed) break;  // whole create sequence covered
+  }
+  EXPECT_GT(trusted_outcomes, 0);
+  EXPECT_GT(untrusted_outcomes, 0);
+}
+
+TEST(CrashSweep, FreshSerialSumCommitTrustedOnlyAfterClose) {
+  SweepFreshSumCommit("f.nc", [](pfs::FileSystem& fs) {
+    auto ds = netcdf::Dataset::Create(fs, "f.nc");
+    if (!ds.ok()) return;
+    auto d = std::move(ds).value();
+    const auto x = d.DefDim("x", 64);
+    if (!x.ok()) return;
+    const auto v = d.DefVar("a", NcType::kDouble, {x.value()});
+    if (!v.ok()) return;
+    (void)d.EndDef();
+    std::vector<double> vals(64);
+    std::iota(vals.begin(), vals.end(), 1.0);
+    (void)d.PutVar<double>(v.value(), vals);
+    (void)d.Sync();
+    (void)d.Close();
+  });
+}
+
+TEST(CrashSweep, FreshParallelSumCommitTrustedOnlyAfterClose) {
+  SweepFreshSumCommit("p.nc", [](pfs::FileSystem& fs) {
+    simmpi::Run(4, [&](simmpi::Comm& c) {
+      auto r = pnetcdf::Dataset::Create(c, fs, "p.nc", simmpi::NullInfo());
+      if (!r.ok()) return;  // every rank sees the same agreed verdict
+      auto ds = std::move(r).value();
+      const int x = ds.DefDim("x", 64).value();
+      const int v = ds.DefVar("a", NcType::kInt, {x}).value();
+      (void)ds.EndDef();
+      // Rank r owns elements [16r, 16r+16).
+      std::vector<std::int32_t> mine(16);
+      std::iota(mine.begin(), mine.end(), 16 * c.rank());
+      const std::uint64_t st[] = {16 * static_cast<std::uint64_t>(c.rank())};
+      const std::uint64_t ct[] = {16};
+      (void)ds.PutVaraAll<std::int32_t>(v, st, ct, mine);
+      (void)ds.Sync();
+      (void)ds.Close();
+    });
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -672,12 +672,151 @@ TEST(Integrity, ReadOnlyParallelSessionWritesNothing) {
     ASSERT_TRUE(ds.Close().ok());
   });
   const pfs::Stats s1 = fs.stats();
-  // The one zero-length request is the open's own metadata round trip
-  // (mpiio::File::Open charges it as a sync-shaped request on rank 0).
-  EXPECT_EQ(s1.write_requests, s0.write_requests + 1);
+  // The open's own round trip (mpiio::File::Open, rank 0) is metadata.
+  EXPECT_EQ(s1.write_requests, s0.write_requests);
+  EXPECT_EQ(s1.metadata_requests, s0.metadata_requests + 1);
   EXPECT_EQ(s1.bytes_written, s0.bytes_written);
   for (std::size_t i = 0; i < before.size(); ++i)
     EXPECT_EQ(FileBytes(fs, paths[i]), before[i]) << paths[i];
+}
+
+// ------------------------------ sidecar traffic: one commit per session end
+
+pfs::FileTraffic SidecarTraffic(pfs::FileSystem& fs, const std::string& path) {
+  return fs.Open(ncformat::SumsPath(path)).value().traffic();
+}
+
+/// Sidecar requests between two snapshots.
+struct TrafficDelta {
+  std::uint64_t writes = 0, syncs = 0, bytes = 0;
+};
+TrafficDelta operator-(const pfs::FileTraffic& b, const pfs::FileTraffic& a) {
+  return {b.write_requests - a.write_requests, b.syncs - a.syncs,
+          b.bytes_written - a.bytes_written};
+}
+
+/// The scrub trusts the sidecar and finds every chunk clean.
+void ExpectTrustedClean(pfs::FileSystem& fs, const std::string& path) {
+  auto v = nctools::VerifyFile(fs, path, {.data = true});
+  ASSERT_TRUE(v.ok()) << v.status().message();
+  ASSERT_TRUE(v.value().scrub.has_value());
+  EXPECT_TRUE(v.value().scrub->trusted);
+  EXPECT_EQ(v.value().scrub->corrupt, 0u);
+  EXPECT_EQ(v.value().scrub->unsummed, 0u);
+  EXPECT_GE(v.value().scrub->clean, 1u);
+}
+
+// A created dataset's sidecar is written once: nothing at Create, EndDef,
+// the data calls or Sync (its bytes stay as they were), then one
+// [magic|slot|table] request and one sync at Close. A writable reopen adds
+// one slot-only commit (the session-open marker) and one closing commit.
+TEST(Integrity, SerialSidecarCommitsOnlyAtOpenAndClose) {
+  pfs::FileSystem fs;
+  const std::string spath = ncformat::SumsPath("s.nc");
+  {
+    auto ds = netcdf::Dataset::Create(fs, "s.nc").value();
+    const int x = ds.DefDim("x", kSerialElems).value();
+    const int v = ds.DefVar("d", NcType::kByte, {x}).value();
+    ASSERT_TRUE(ds.EndDef().ok());
+    std::vector<signed char> vals(kSerialElems);
+    for (std::uint64_t i = 0; i < kSerialElems; ++i) vals[i] = PatternAt(i);
+    ASSERT_TRUE(ds.PutVar<signed char>(v, vals).ok());
+    const auto bytes0 = FileBytes(fs, spath);
+    ASSERT_TRUE(ds.Sync().ok());
+    EXPECT_EQ(FileBytes(fs, spath), bytes0);
+    const pfs::FileTraffic t0 = SidecarTraffic(fs, "s.nc");
+    EXPECT_EQ(t0.write_requests, 0u);
+    EXPECT_EQ(t0.syncs, 0u);
+    ASSERT_TRUE(ds.Close().ok());
+    const TrafficDelta d = SidecarTraffic(fs, "s.nc") - t0;
+    EXPECT_EQ(d.writes, 1u);
+    EXPECT_EQ(d.syncs, 1u);
+    EXPECT_EQ(d.bytes, FileBytes(fs, spath).size());
+  }
+  ExpectTrustedClean(fs, "s.nc");
+
+  const pfs::FileTraffic t0 = SidecarTraffic(fs, "s.nc");
+  auto ds = netcdf::Dataset::Open(fs, "s.nc", /*writable=*/true).value();
+  const TrafficDelta open = SidecarTraffic(fs, "s.nc") - t0;
+  EXPECT_EQ(open.writes, 1u);
+  EXPECT_EQ(open.syncs, 1u);
+  EXPECT_EQ(open.bytes, ncformat::kSumsSlotSize);
+  const std::vector<signed char> one = {7};
+  const std::uint64_t st[] = {5};
+  const std::uint64_t ct[] = {1};
+  ASSERT_TRUE(ds.PutVara<signed char>(0, st, ct, one).ok());
+  const pfs::FileTraffic t1 = SidecarTraffic(fs, "s.nc");
+  ASSERT_TRUE(ds.Sync().ok());
+  ASSERT_TRUE(ds.Close().ok());
+  const TrafficDelta close = SidecarTraffic(fs, "s.nc") - t1;
+  EXPECT_EQ(close.writes, 1u);
+  EXPECT_EQ(close.syncs, 1u);
+  ExpectTrustedClean(fs, "s.nc");
+}
+
+TEST(Integrity, ParallelSidecarCommitsOnlyAtOpenAndClose) {
+  pfs::FileSystem fs;
+  const std::string spath = ncformat::SumsPath("g.nc");
+  const std::uint64_t band = kRows / kRanks;
+  std::vector<std::byte> bytes0;
+  pfs::FileTraffic t0;
+  TrafficDelta create_close;
+  simmpi::Run(kRanks, [&](Comm& c) {
+    auto ds =
+        pnetcdf::Dataset::Create(c, fs, "g.nc", simmpi::NullInfo()).value();
+    const int y = ds.DefDim("y", kRows).value();
+    const int x = ds.DefDim("x", kCols).value();
+    const int v = ds.DefVar("d", NcType::kByte, {y, x}).value();
+    ASSERT_TRUE(ds.EndDef().ok());
+    const std::uint64_t r0 = band * static_cast<std::uint64_t>(c.rank());
+    std::vector<signed char> mine(band * kCols);
+    for (std::uint64_t i = 0; i < band; ++i)
+      for (std::uint64_t j = 0; j < kCols; ++j)
+        mine[i * kCols + j] = Cell(r0 + i, j);
+    const std::uint64_t st[] = {r0, 0};
+    const std::uint64_t ct[] = {band, kCols};
+    ASSERT_TRUE(ds.PutVaraAll<signed char>(v, st, ct, mine).ok());
+    if (c.rank() == 0) bytes0 = FileBytes(fs, spath);
+    ASSERT_TRUE(ds.Sync().ok());
+    // Only the root touches the sidecar; its own calls are in order.
+    if (c.rank() == 0) {
+      EXPECT_EQ(FileBytes(fs, spath), bytes0);
+      t0 = SidecarTraffic(fs, "g.nc");
+    }
+    ASSERT_TRUE(ds.Close().ok());
+    if (c.rank() == 0) create_close = SidecarTraffic(fs, "g.nc") - t0;
+  });
+  EXPECT_EQ(t0.write_requests, 0u);
+  EXPECT_EQ(t0.syncs, 0u);
+  EXPECT_EQ(create_close.writes, 1u);
+  EXPECT_EQ(create_close.syncs, 1u);
+  EXPECT_EQ(create_close.bytes, FileBytes(fs, spath).size());
+  ExpectTrustedClean(fs, "g.nc");
+
+  TrafficDelta open, close;
+  simmpi::Run(kRanks, [&](Comm& c) {
+    const pfs::FileTraffic before = SidecarTraffic(fs, "g.nc");
+    c.Barrier();
+    auto ds = pnetcdf::Dataset::Open(c, fs, "g.nc", /*writable=*/true,
+                                     simmpi::NullInfo())
+                  .value();
+    if (c.rank() == 0) open = SidecarTraffic(fs, "g.nc") - before;
+    const std::uint64_t r0 = band * static_cast<std::uint64_t>(c.rank());
+    std::vector<signed char> mine(band * kCols, 3);
+    const std::uint64_t st[] = {r0, 0};
+    const std::uint64_t ct[] = {band, kCols};
+    ASSERT_TRUE(ds.PutVaraAll<signed char>(0, st, ct, mine).ok());
+    const pfs::FileTraffic mid = SidecarTraffic(fs, "g.nc");
+    ASSERT_TRUE(ds.Sync().ok());
+    ASSERT_TRUE(ds.Close().ok());
+    if (c.rank() == 0) close = SidecarTraffic(fs, "g.nc") - mid;
+  });
+  EXPECT_EQ(open.writes, 1u);
+  EXPECT_EQ(open.syncs, 1u);
+  EXPECT_EQ(open.bytes, ncformat::kSumsSlotSize);
+  EXPECT_EQ(close.writes, 1u);
+  EXPECT_EQ(close.syncs, 1u);
+  ExpectTrustedClean(fs, "g.nc");
 }
 
 // ------------------------------------- telemetry: counters + black box
